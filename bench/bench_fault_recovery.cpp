@@ -117,10 +117,11 @@ int main(int argc, char** argv) {
   }
 
   // The forced-failure point (only with --force-failure): a fault plan
-  // with datapath_eval kIncremental and no checker, so the corruption
-  // flows to architectural state and the oracle quarantines the point.
+  // with datapath_eval kPacked and no checker, so the corruption flows to
+  // architectural state and the oracle quarantines the point.
   // Every parameter is pinned (independent of --quick) because most
-  // injected faults are masked by downstream recomputation — this exact
+  // injected faults land on empty stations or unread operands, or are
+  // re-resolved before use — this exact
   // (seed, rate, workload, window) combination is verified to corrupt
   // architectural state, and being deterministic its repro bundle replays
   // exactly.
@@ -130,16 +131,16 @@ int main(int argc, char** argv) {
     point.kind = core::ProcessorKind::kUltrascalarI;
     point.config.window_size = 32;
     point.config.mem.mode = memory::MemTimingMode::kMagic;
-    point.config.datapath_eval = core::DatapathEval::kIncremental;
+    point.config.datapath_eval = core::DatapathEval::kPacked;
     point.config.fault_plan = std::make_shared<const fault::FaultPlan>(
-        fault::FaultPlan::Random(424242, 0.05, horizon));
+        fault::FaultPlan::Random(424243, 0.05, horizon));
     point.program = std::make_shared<isa::Program>(
         workloads::RandomMix({.num_instructions = 1024}));
     point.workload = "mix-forced-fault";
     forced_index = points.size();
     points.push_back(std::move(point));
     point_rate.push_back(0.05);
-    point_seed.push_back(424242);
+    point_seed.push_back(424243);
   }
 
   runtime::SweepOptions sweep_options{.num_threads = opt.threads,
@@ -184,10 +185,10 @@ int main(int argc, char** argv) {
       const auto& s = o.result.stats;
       analysis::Table& row = table.Row();
       row.Cell(rates[r], 3);
-      row.Cell(static_cast<double>(s.faults_injected()), 0);
-      row.Cell(static_cast<double>(s.divergences_detected()), 0);
-      row.Cell(static_cast<double>(s.checker_resyncs()), 0);
-      row.Cell(static_cast<double>(s.squashes_under_fault()), 0);
+      row.Cell(static_cast<double>(s.fault.injected), 0);
+      row.Cell(static_cast<double>(s.fault.divergences), 0);
+      row.Cell(static_cast<double>(s.fault.resyncs), 0);
+      row.Cell(static_cast<double>(s.fault.squashes), 0);
       row.Cell(static_cast<double>(o.result.cycles), 0);
       row.Cell(o.result.Ipc(), 4);
       row.Cell(base_ipc > 0.0 ? o.result.Ipc() / base_ipc : 0.0, 4);
@@ -218,10 +219,10 @@ int main(int argc, char** argv) {
           << ", \"ipc\": " << o.result.Ipc()
           << ", \"ipc_rel_baseline\": "
           << (base_ipc > 0.0 ? o.result.Ipc() / base_ipc : 0.0)
-          << ", \"faults_injected\": " << s.faults_injected()
-          << ", \"divergences_detected\": " << s.divergences_detected()
-          << ", \"checker_resyncs\": " << s.checker_resyncs()
-          << ", \"squashes_under_fault\": " << s.squashes_under_fault()
+          << ", \"faults_injected\": " << s.fault.injected
+          << ", \"divergences_detected\": " << s.fault.divergences
+          << ", \"checker_resyncs\": " << s.fault.resyncs
+          << ", \"squashes_under_fault\": " << s.fault.squashes
           << ", \"oracle_ok\": true}"
           << (next < std::size(kinds) * rates.size() ? "," : "") << "\n";
     }

@@ -7,7 +7,10 @@
 // kIncremental, the default) against the full-recompute reference path on
 // the largest Ultrascalar I configuration. The incremental path re-runs
 // only dirty register columns and never allocates in steady state, so its
-// advantage grows with n * L.
+// advantage grows with n * L. At the largest window it also times every
+// core's bit-packed path against the incremental one (a differential guard:
+// both must agree), and the packed and checked paths under a fault plan
+// against clean packed.
 //
 // Points are dispatched through runtime::SweepRunner (single worker by
 // default so per-point wall times are not corrupted by oversubscription);
@@ -157,43 +160,33 @@ int main(int argc, char** argv) {
       points.push_back(std::move(point));
     }
   }
-  // --- Fallback-free guard: packed mode keeps its packed cycle loop under
-  // attached telemetry and under fault plans (there is no transparent
-  // fallback to the incremental loop). Each pair must agree with the
-  // incremental reference byte-for-byte and report zero fallbacks. ---
-  struct FallbackConfig {
-    const char* name;
-    bool with_telemetry;
-    bool with_fault_plan;
-  };
-  const FallbackConfig ff_configs[] = {
-      {"telemetry", true, false},
-      {"fault_plan", false, true},
-  };
-  const auto ff_plan = std::make_shared<const fault::FaultPlan>(
-      fault::FaultPlan::Random(17, 0.01, 20'000));
-  // One sink per telemetry point: a RunTelemetry serves one Run at a time.
-  std::vector<std::unique_ptr<telemetry::RunTelemetry>> telem_slots;
-  const std::size_t ff_base = points.size();
-  for (const auto kind : kinds) {
-    for (const auto& fc : ff_configs) {
-      for (const auto eval :
-           {core::DatapathEval::kIncremental, core::DatapathEval::kPacked}) {
-        runtime::SweepPoint point;
-        point.kind = kind;
-        point.config.window_size = big_n;
-        point.config.num_regs = L;
-        point.config.datapath_eval = eval;
-        point.config.mem.mode = memory::MemTimingMode::kMagic;
-        if (fc.with_telemetry) {
-          telem_slots.push_back(std::make_unique<telemetry::RunTelemetry>());
-          point.config.telemetry = telem_slots.back().get();
-        }
-        if (fc.with_fault_plan) point.config.fault_plan = ff_plan;
-        point.program = suite[0].program;
-        point.workload = suite[0].name;
-        points.push_back(std::move(point));
-      }
+  // --- Fault plans on the packed loop: every scalable core at the largest
+  // window, unchecked and checked, under one plan. Its value corruptions,
+  // stalls and forced squashes cannot withhold an operand forever, so the
+  // unchecked runs finish too (a dropped delivery or ready flip can wedge
+  // a station until the checker repairs it). ---
+  constexpr fault::FaultKind kPlanKinds[] = {
+      fault::FaultKind::kCorruptValue, fault::FaultKind::kStallStation,
+      fault::FaultKind::kForceMispredict};
+  const auto plan = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::Random(17, 0.01, 20'000, kPlanKinds));
+  const core::ProcessorKind scalable[] = {core::ProcessorKind::kUltrascalarI,
+                                          core::ProcessorKind::kUltrascalarII,
+                                          core::ProcessorKind::kHybrid};
+  const std::size_t fault_base = points.size();
+  for (const auto kind : scalable) {
+    for (const auto eval :
+         {core::DatapathEval::kPacked, core::DatapathEval::kChecked}) {
+      runtime::SweepPoint point;
+      point.kind = kind;
+      point.config.window_size = big_n;
+      point.config.num_regs = L;
+      point.config.datapath_eval = eval;
+      point.config.mem.mode = memory::MemTimingMode::kMagic;
+      point.config.fault_plan = plan;
+      point.program = suite[0].program;
+      point.workload = suite[0].name;
+      points.push_back(std::move(point));
     }
   }
 
@@ -265,101 +258,87 @@ int main(int argc, char** argv) {
               suite[0].name.c_str());
   struct PackedRow {
     core::ProcessorKind kind;
-    const char* config = "plain";
     double incr_cps = 0.0;
     double packed_cps = 0.0;
     double speedup = 0.0;
-    std::uint64_t fallbacks = 0;
-  };
-  // Differential + fallback gate shared by the plain and the
-  // telemetry/fault-plan sections: the packed path must agree with the
-  // incremental reference byte-for-byte and must never have fallen back.
-  const auto check_packed_pair = [&](const runtime::SweepOutcome& pincr,
-                                     const runtime::SweepOutcome& ppacked,
-                                     core::ProcessorKind kind,
-                                     const char* config_name) {
-    if (pincr.result.cycles != ppacked.result.cycles ||
-        pincr.result.committed != ppacked.result.committed ||
-        pincr.result.regs != ppacked.result.regs) {
-      std::fprintf(
-          stderr,
-          "packed eval diverges from incremental on %s (%s): %llu/%llu "
-          "cycles, %llu/%llu committed\n",
-          std::string(core::ProcessorKindName(kind)).c_str(), config_name,
-          static_cast<unsigned long long>(pincr.result.cycles),
-          static_cast<unsigned long long>(ppacked.result.cycles),
-          static_cast<unsigned long long>(pincr.result.committed),
-          static_cast<unsigned long long>(ppacked.result.committed));
-      return false;
-    }
-    if (ppacked.result.stats.fallback_count != 0) {
-      std::fprintf(stderr,
-                   "packed eval fell back %llu times on %s (%s); packed mode "
-                   "must be fallback-free\n",
-                   static_cast<unsigned long long>(
-                       ppacked.result.stats.fallback_count),
-                   std::string(core::ProcessorKindName(kind)).c_str(),
-                   config_name);
-      return false;
-    }
-    return true;
   };
   std::vector<PackedRow> packed_rows;
   {
-    analysis::Table table(
-        {"kind", "incr Mcyc/s", "packed Mcyc/s", "speedup", "fallbacks"});
+    analysis::Table table({"kind", "incr Mcyc/s", "packed Mcyc/s", "speedup"});
     for (std::size_t k = 0; k < std::size(kinds); ++k) {
       const auto& pincr = outcomes[packed_base + 2 * k];
       const auto& ppacked = outcomes[packed_base + 2 * k + 1];
-      if (!check_packed_pair(pincr, ppacked, kinds[k], "plain")) return 1;
+      // Differential guard: the packed path must agree with the
+      // incremental reference.
+      if (pincr.result.cycles != ppacked.result.cycles ||
+          pincr.result.committed != ppacked.result.committed ||
+          pincr.result.regs != ppacked.result.regs) {
+        std::fprintf(stderr,
+                     "packed eval diverges from incremental on %s: %llu/%llu "
+                     "cycles, %llu/%llu committed\n",
+                     std::string(core::ProcessorKindName(kinds[k])).c_str(),
+                     static_cast<unsigned long long>(pincr.result.cycles),
+                     static_cast<unsigned long long>(ppacked.result.cycles),
+                     static_cast<unsigned long long>(pincr.result.committed),
+                     static_cast<unsigned long long>(
+                         ppacked.result.committed));
+        return 1;
+      }
       PackedRow row;
       row.kind = kinds[k];
       row.incr_cps = PerSecond(pincr.result.cycles, pincr.wall_seconds);
       row.packed_cps = PerSecond(ppacked.result.cycles, ppacked.wall_seconds);
       row.speedup = row.incr_cps > 0.0 ? row.packed_cps / row.incr_cps : 0.0;
-      row.fallbacks = ppacked.result.stats.fallback_count;
       packed_rows.push_back(row);
       analysis::Table& r = table.Row();
       r.Cell(std::string(core::ProcessorKindName(kinds[k])));
       r.Cell(row.incr_cps / 1e6, 3);
       r.Cell(row.packed_cps / 1e6, 3);
       r.Cell(row.speedup, 2);
-      r.Cell(static_cast<double>(row.fallbacks), 0);
     }
     std::printf("%s\n", table.ToString().c_str());
   }
 
-  // --- Packed under telemetry and fault plans (fallback-free configs). ---
-  std::printf(
-      "--- n=%d L=%d, %s: packed under telemetry / fault plans ---\n", big_n,
-      L, suite[0].name.c_str());
-  std::vector<PackedRow> ff_rows;
+  // --- Packed and checked under a fault plan, against clean packed. ---
+  std::printf("--- n=%d L=%d, %s: packed / checked under a fault plan ---\n",
+              big_n, L, suite[0].name.c_str());
+  struct FaultRow {
+    core::ProcessorKind kind;
+    double clean_cps = 0.0;
+    double packed_cps = 0.0;
+    double checked_cps = 0.0;
+    std::uint64_t injected = 0;
+    std::uint64_t divergences = 0;
+  };
+  std::vector<FaultRow> fault_rows;
   {
-    analysis::Table table({"kind", "config", "incr Mcyc/s", "packed Mcyc/s",
-                           "speedup", "fallbacks"});
-    std::size_t idx = ff_base;
-    for (std::size_t k = 0; k < std::size(kinds); ++k) {
-      for (const auto& fc : ff_configs) {
-        const auto& pincr = outcomes[idx++];
-        const auto& ppacked = outcomes[idx++];
-        if (!check_packed_pair(pincr, ppacked, kinds[k], fc.name)) return 1;
-        PackedRow row;
-        row.kind = kinds[k];
-        row.config = fc.name;
-        row.incr_cps = PerSecond(pincr.result.cycles, pincr.wall_seconds);
-        row.packed_cps =
-            PerSecond(ppacked.result.cycles, ppacked.wall_seconds);
-        row.speedup = row.incr_cps > 0.0 ? row.packed_cps / row.incr_cps : 0.0;
-        row.fallbacks = ppacked.result.stats.fallback_count;
-        ff_rows.push_back(row);
-        analysis::Table& r = table.Row();
-        r.Cell(std::string(core::ProcessorKindName(kinds[k])));
-        r.Cell(fc.name);
-        r.Cell(row.incr_cps / 1e6, 3);
-        r.Cell(row.packed_cps / 1e6, 3);
-        r.Cell(row.speedup, 2);
-        r.Cell(static_cast<double>(row.fallbacks), 0);
+    analysis::Table table({"kind", "clean Mcyc/s", "packed Mcyc/s",
+                           "checked Mcyc/s", "faults", "diverg"});
+    for (std::size_t k = 0; k < std::size(scalable); ++k) {
+      const auto& packed = outcomes[fault_base + 2 * k];
+      const auto& checked = outcomes[fault_base + 2 * k + 1];
+      if (!packed.result.halted || !checked.result.halted) {
+        std::fprintf(stderr, "fault-plan run did not halt on %s\n",
+                     std::string(core::ProcessorKindName(scalable[k])).c_str());
+        return 1;
       }
+      FaultRow row;
+      row.kind = scalable[k];
+      for (const PackedRow& p : packed_rows) {
+        if (p.kind == row.kind) row.clean_cps = p.packed_cps;
+      }
+      row.packed_cps = PerSecond(packed.result.cycles, packed.wall_seconds);
+      row.checked_cps = PerSecond(checked.result.cycles, checked.wall_seconds);
+      row.injected = checked.result.stats.fault.injected;
+      row.divergences = checked.result.stats.fault.divergences;
+      fault_rows.push_back(row);
+      analysis::Table& r = table.Row();
+      r.Cell(std::string(core::ProcessorKindName(row.kind)));
+      r.Cell(row.clean_cps / 1e6, 3);
+      r.Cell(row.packed_cps / 1e6, 3);
+      r.Cell(row.checked_cps / 1e6, 3);
+      r.Cell(static_cast<double>(row.injected), 0);
+      r.Cell(static_cast<double>(row.divergences), 0);
     }
     std::printf("%s\n", table.ToString().c_str());
   }
@@ -477,20 +456,23 @@ int main(int argc, char** argv) {
     out << "    {\"kind\": \"" << core::ProcessorKindName(row.kind)
         << "\", \"incremental_cycles_per_sec\": " << row.incr_cps
         << ", \"packed_cycles_per_sec\": " << row.packed_cps
-        << ", \"speedup\": " << row.speedup
-        << ", \"fallback_count\": " << row.fallbacks << "}"
+        << ", \"speedup\": " << row.speedup << "}"
         << (k + 1 < packed_rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"fallback_free\": [\n";
-  for (std::size_t k = 0; k < ff_rows.size(); ++k) {
-    const PackedRow& row = ff_rows[k];
+  out << "  ]},\n";
+  out << "  \"fault_plan\": {\"n\": " << big_n << ", \"L\": " << L
+      << ", \"workload\": \"" << suite[0].name
+      << "\", \"plan\": \"seed 17, rate 0.01, corrupt-value + stall + "
+         "force-mispredict\", \"kinds\": [\n";
+  for (std::size_t k = 0; k < fault_rows.size(); ++k) {
+    const FaultRow& row = fault_rows[k];
     out << "    {\"kind\": \"" << core::ProcessorKindName(row.kind)
-        << "\", \"config\": \"" << row.config
-        << "\", \"incremental_cycles_per_sec\": " << row.incr_cps
+        << "\", \"clean_packed_cycles_per_sec\": " << row.clean_cps
         << ", \"packed_cycles_per_sec\": " << row.packed_cps
-        << ", \"speedup\": " << row.speedup
-        << ", \"fallback_count\": " << row.fallbacks << "}"
-        << (k + 1 < ff_rows.size() ? "," : "") << "\n";
+        << ", \"checked_cycles_per_sec\": " << row.checked_cps
+        << ", \"faults_injected\": " << row.injected
+        << ", \"divergences_detected\": " << row.divergences << "}"
+        << (k + 1 < fault_rows.size() ? "," : "") << "\n";
   }
   out << "  ]},\n";
   out << "  \"ensemble\": {\"points\": " << ens_points.size()

@@ -8,11 +8,12 @@
 // cycle k holds the machine exactly as the uninterrupted run saw it when
 // it began cycle k, so a restored run re-executes cycle k onward
 // cycle-for-cycle identically — including live fault corruptions, which
-// ride along inside the serialized datapath state.
+// ride along inside the packed path's serialized station arguments.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "core/station.hpp"
 #include "core/config_codec.hpp"
 #include "core/exec.hpp"
+#include "datapath/bitset.hpp"
 #include "isa/program_codec.hpp"
 #include "persist/checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
@@ -150,7 +152,6 @@ inline void SavePartialResult(persist::Encoder& e, const RunResult& r) {
   e.U64(r.stats.store_count);
   e.U64(r.stats.fetch_stall_cycles);
   e.U64(r.stats.window_full_cycles);
-  e.U64(r.stats.fallback_count);
   e.U64(r.stats.fault.injected);
   e.U64(r.stats.fault.checks);
   e.U64(r.stats.fault.divergences);
@@ -171,7 +172,6 @@ inline void RestorePartialResult(persist::Decoder& d, RunResult& r) {
   r.stats.store_count = d.U64();
   r.stats.fetch_stall_cycles = d.U64();
   r.stats.window_full_cycles = d.U64();
-  r.stats.fallback_count = d.U64();
   r.stats.fault.injected = d.U64();
   r.stats.fault.checks = d.U64();
   r.stats.fault.divergences = d.U64();
@@ -184,6 +184,27 @@ inline void RestorePartialResult(persist::Decoder& d, RunResult& r) {
     InstrTiming t;
     RestoreInstrTiming(d, t);
     r.timeline.push_back(t);
+  }
+}
+
+/// The packed path's cached station arguments plus the stale set of
+/// stations due to re-resolve at the next cycle. Both are machine state: a
+/// live fault corruption sits in a cached argument until its station is
+/// next re-resolved, so a restore that recomputed them would heal it.
+inline void SavePackedArgs(persist::Encoder& e,
+                           std::span<const datapath::ResolvedArgs> args,
+                           const datapath::PackedBits& stale) {
+  for (const datapath::ResolvedArgs& a : args) datapath::Save(e, a);
+  for (int w = 0; w < stale.num_words(); ++w) e.U64(stale.word(w));
+}
+
+inline void RestorePackedArgs(persist::Decoder& d,
+                              std::span<datapath::ResolvedArgs> args,
+                              datapath::PackedBits& stale) {
+  for (datapath::ResolvedArgs& a : args) datapath::Restore(d, a);
+  for (int w = 0; w < stale.num_words(); ++w) stale.word(w) = d.U64();
+  if (stale.num_words() > 0) {
+    stale.word(stale.num_words() - 1) &= datapath::PackedTailMask(stale.size());
   }
 }
 

@@ -44,10 +44,11 @@ void CoreConfig::Validate(bool for_hybrid) const {
     fail("checker_stride must be >= 1 in checked mode, got " +
          std::to_string(checker_stride));
   }
-  if (fault_plan && datapath_eval == DatapathEval::kFullRecompute) {
-    fail("fault_plan requires datapath_eval incremental, packed, or checked "
-         "(the full-recompute path rebuilds every delivery each cycle, so "
-         "injected corruptions could never persist)");
+  if (fault_plan && datapath_eval != DatapathEval::kPacked &&
+      datapath_eval != DatapathEval::kChecked) {
+    fail("fault_plan requires datapath_eval packed or checked (faults "
+         "corrupt the packed path's cached station arguments, which the "
+         "incremental and full-recompute paths do not keep)");
   }
   const auto check_level = [&fail](const memory::CacheLevelConfig& level,
                                    const char* name) {

@@ -45,30 +45,26 @@ enum class FetchMode : std::uint8_t {
 
 /// How the cycle loop evaluates the register datapaths. All modes compute
 /// the same function and produce identical RunResults on clean inputs (the
-/// fuzz tests assert this); the incremental path re-evaluates only what
-/// changed since the previous cycle and never allocates in steady state.
+/// differential tests assert this). There is one fast path (kPacked), one
+/// plain reference (kFullRecompute), the incremental default, and the fast
+/// path with a self-checking layer (kChecked). See docs/runtime.md.
 enum class DatapathEval : std::uint8_t {
   kIncremental,    // Dirty-set propagation into persistent state (default).
   kFullRecompute,  // Rebuild-everything reference path.
-  /// Incremental, plus a DatapathChecker that cross-validates the
-  /// delivered state against a full recompute every checker_stride cycles
-  /// (eagerly on cycles with hazardous injected faults) and
-  /// resynchronizes from the full path on divergence. See
-  /// docs/robustness.md.
+  /// kPacked plus a DatapathChecker: every checker_stride cycles (eagerly
+  /// on cycles with hazardous injected faults) each live station's cached
+  /// arguments are compared with a from-scratch recomputation and
+  /// overwritten on mismatch. See docs/robustness.md.
   kChecked,
   /// Bit-packed word-parallel evaluation: the per-station booleans (valid,
   /// finished, issued, readiness, the Figure 5 ordering conditions) live
   /// 64 to a uint64_t, the sequencing prefixes and ALU grants evaluate 64
   /// lanes per word op, and the cycle loops visit only stations that can
-  /// act. Packed mode is fallback-free: every CoreConfig -- store
-  /// forwarding, attached telemetry, fault plans, pipelined datapaths --
-  /// runs through the packed cycle loop (RunStats::fallback_count stays 0)
-  /// and produces results byte-identical to kIncremental (the differential
-  /// tests assert this). Most configurations take the event-driven fast
-  /// tier, which replaces the per-cycle datapath propagation with
-  /// PackedWriterMap word scans; fault plans and pipelined delivery keep
-  /// the incremental argument machinery under the packed walk (the
-  /// observation tier). See docs/runtime.md.
+  /// act. Argument delivery is event-driven: each station's resolved
+  /// arguments are cached and re-resolved only when their source changes
+  /// (pipelined Ultrascalar I delivery re-resolves every cycle instead).
+  /// Every CoreConfig -- store forwarding, telemetry, fault plans,
+  /// pipelined datapaths -- runs this one loop.
   kPacked,
 };
 
@@ -111,17 +107,18 @@ struct CoreConfig {
   DatapathEval datapath_eval = DatapathEval::kIncremental;
 
   /// Cross-validation cadence for datapath_eval = kChecked: the checker
-  /// compares the incremental delivery buffers against a full recompute
-  /// every checker_stride cycles (and immediately on cycles where a
-  /// hazardous fault was injected). Must be >= 1 in checked mode.
+  /// compares the cached station arguments against a from-scratch
+  /// recomputation every checker_stride cycles (and immediately on cycles
+  /// where a hazardous fault was injected). Must be >= 1 in checked mode.
   int checker_stride = 64;
 
   /// Deterministic fault-injection schedule (see src/fault/). Null = no
-  /// faults. Requires datapath_eval kIncremental or kPacked (faults flow
-  /// unchecked — useful to demonstrate silent corruption; packed mode runs
-  /// its observation tier so corruptions propagate byte-identically to the
-  /// incremental path) or kChecked (faults are detected and repaired). The
-  /// IdealOoO core has no scalable datapath and ignores the plan.
+  /// faults. Requires datapath_eval kPacked (faults flow unchecked --
+  /// useful to demonstrate silent corruption) or kChecked (faults are
+  /// detected and repaired). Faults corrupt the packed path's cached
+  /// station arguments, which the incremental and full-recompute paths do
+  /// not have. The IdealOoO core has no scalable datapath and ignores the
+  /// plan.
   std::shared_ptr<const fault::FaultPlan> fault_plan;
 
   /// Cooperative cancellation: when non-null, the cycle loops poll the
@@ -179,7 +176,7 @@ struct InstrTiming {
 struct FaultCounters {
   std::uint64_t injected = 0;     // FaultPlan events staged.
   std::uint64_t checks = 0;       // Cross-validations run.
-  std::uint64_t divergences = 0;  // Mismatched cells, summed.
+  std::uint64_t divergences = 0;  // Mismatched operands, summed.
   std::uint64_t resyncs = 0;      // Checks finding >= 1 mismatch.
   std::uint64_t squashes = 0;     // Squashes from forced faults.
 };
@@ -216,26 +213,9 @@ struct RunStats {
   /// cores share this definition.
   std::uint64_t fetch_stall_cycles = 0;
   std::uint64_t window_full_cycles = 0;
-  /// Cycles (or whole runs) where a requested evaluation strategy was
-  /// abandoned for a different one. Always 0 since packed mode became
-  /// fallback-free; the field exists so the bench differential and CI can
-  /// gate on it never regressing to silent scalar execution.
-  std::uint64_t fallback_count = 0;
   FaultCounters fault;
   MemHierarchyCounters mem_hierarchy;
 
-  // Compatibility accessors for the former loose fault-counter fields.
-  [[nodiscard]] std::uint64_t faults_injected() const {
-    return fault.injected;
-  }
-  [[nodiscard]] std::uint64_t checker_checks() const { return fault.checks; }
-  [[nodiscard]] std::uint64_t divergences_detected() const {
-    return fault.divergences;
-  }
-  [[nodiscard]] std::uint64_t checker_resyncs() const { return fault.resyncs; }
-  [[nodiscard]] std::uint64_t squashes_under_fault() const {
-    return fault.squashes;
-  }
 };
 
 struct RunResult {

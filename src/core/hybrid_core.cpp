@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include <bit>
+#include <optional>
 
 #include "core/checkpoint_util.hpp"
 #include "core/exec.hpp"
@@ -47,42 +48,33 @@ RunResult HybridCore::Run(const isa::Program& program) {
     return cluster * C + pos % C;
   };
 
-  // Checked mode runs the incremental machinery plus the cross-validation
-  // below, so everything keyed on `incremental` applies to it too.
-  const bool incremental =
-      config_.datapath_eval != DatapathEval::kFullRecompute;
+  // Evaluation modes. kPacked and kChecked share one word-parallel cycle
+  // loop: sequencing flags, acyclic prefixes, ALU grants and the execute
+  // phase's visit set evaluate 64 program positions per word op (the packed
+  // lanes are position-indexed, not station-indexed), and argument delivery
+  // is event-driven -- each station's resolved arguments are cached and
+  // re-resolved, over per-register writer/reader rows, only when their
+  // source changes. kChecked adds the DatapathChecker. kIncremental and
+  // kFullRecompute run the byte-lane loop over the cluster propagation.
+  const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
+                      config_.datapath_eval == DatapathEval::kChecked;
   const bool checked = config_.datapath_eval == DatapathEval::kChecked;
-  // Word-parallel packed mode: sequencing flags, acyclic prefixes, ALU
-  // grants, and the execute phase's visit set evaluate 64 program
-  // positions per word op (the packed lanes are position-indexed, not
-  // station-indexed). kPacked always runs the packed cycle loop; the
-  // `fast` tier additionally replaces the per-cycle request rebuild and
-  // mesh propagation with event-driven argument resolution over
-  // per-register writer/reader rows. Fault plans keep the propagation
-  // machinery underneath the packed walk (corruptions live inside
-  // dp_state), but never change the executed loop.
-  const bool packed = config_.datapath_eval == DatapathEval::kPacked;
-  const bool fast = packed && config_.fault_plan == nullptr;
-  const bool maintain_dp = incremental && !fast;
+  const bool incremental =
+      config_.datapath_eval == DatapathEval::kIncremental;
 
   fault::FaultInjector injector(config_.fault_plan.get());
   fault::DatapathChecker checker(config_.checker_stride);
-  // Checked-mode scratch: the per-station resolved arguments the execute
-  // phase would consume.
-  std::vector<datapath::ResolvedArgs> check_args;
-  if (checked) check_args.resize(static_cast<std::size_t>(n));
   std::vector<int> fault_stall(static_cast<std::size_t>(n), 0);
 
   CoreTelemetry tel(config_);
   // Program-position last writer per register (propagation-distance metric).
   std::vector<int> last_writer(static_cast<std::size_t>(L));
 
-  // Persistent datapath state for the incremental path.
-  datapath::HybridDatapathState dp_state(n, L, C);
-  for (int r = 0; r < L; ++r) {
-    dp_state.SetCommitted(r, committed[static_cast<std::size_t>(r)]);
-  }
-  datapath::HybridPropagation prop;  // Full-recompute path only.
+  // Persistent datapath state for the incremental path; a function of the
+  // stations and the committed file, so it is built after any restore.
+  std::optional<datapath::HybridDatapathState> dp_state;
+  // Full-recompute path, and the checker's recomputation target.
+  datapath::HybridPropagation prop;
 
   std::vector<datapath::StationRequest> requests(
       static_cast<std::size_t>(n));
@@ -99,22 +91,33 @@ RunResult HybridCore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> alu_grant;  // Indexed by program position.
   std::vector<FetchedInstr> fetch_batch;
 
-  // Packed per-cycle scratch (kPacked only), lanes indexed by program
-  // position: recomposed over [0, tail) every cycle, so it is derived
-  // state and never checkpointed. Lanes at or beyond tail may hold stale
-  // values from a cycle with a larger tail; every whole-word reduction
-  // below masks to the live range.
+  // Packed state (kPacked/kChecked only). The masks, the writer/reader
+  // rows and the stale mask live in position space: they shift down by C
+  // when a cluster deallocates. The cached arguments, the memory-window
+  // entries and mw_stale_b live in station space, which survives
+  // renumbering untouched -- a station's cached binding is a value copy,
+  // and a deallocated writer's readers re-resolve to the committed file,
+  // which that writer's commit made byte-identical to its result.
+  // Everything but the cached arguments and the stale set is derived from
+  // the stations and rebuilt on restore.
   const int pw = datapath::PackedWordCount(n);
   datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
       cf_b, alu_like_b, needs_alu_b, argr_b, cond_b, psd_b, pld_b, pcf_b,
       req_b, grant_b, stall_b, stale_b;
+  datapath::PackedWriterMap wmap;
+  std::vector<datapath::ResolvedArgs> args_at;
+  std::vector<MemWindowEntry> mem_window_sta;
+  datapath::PackedBits mw_stale_b;  // Station-indexed, unlike stale_b.
   if (packed) {
     for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
                     &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &cond_b,
                     &psd_b, &pld_b, &pcf_b, &req_b, &grant_b, &stall_b,
-                    &stale_b}) {
+                    &stale_b, &mw_stale_b}) {
       p->Assign(n);
     }
+    wmap.Assign(n, L);
+    args_at.resize(static_cast<std::size_t>(n));
+    mem_window_sta.resize(static_cast<std::size_t>(n));
   }
   // Live-lane mask for word @p w given @p limit live positions.
   const auto live_word_mask = [](int w, int limit) -> std::uint64_t {
@@ -123,47 +126,49 @@ RunResult HybridCore::Run(const isa::Program& program) {
     const int lanes = limit - base;
     return lanes >= 64 ? ~0ULL : ((1ULL << lanes) - 1);
   };
-
-  const auto args_of = [&](int i) -> const datapath::ResolvedArgs& {
-    return incremental ? dp_state.args(i)
-                       : prop.args[static_cast<std::size_t>(i)];
-  };
-
-  // Fast-tier state. The writer/reader rows and the stale mask live in
-  // position space (they shift down by C with the masks when a cluster
-  // deallocates); the cached arguments and the memory-window entries live
-  // in station space, which survives renumbering untouched -- a station's
-  // cached binding is a value copy, and a deallocated writer's readers
-  // re-resolve to the committed file, which that writer's commit made
-  // byte-identical to its result.
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_sta;
-  datapath::PackedBits mw_stale_b;  // Station-indexed, unlike stale_b.
-  if (fast) {
-    wmap.Assign(n, L);
-    args_at.resize(static_cast<std::size_t>(n));
-    mem_window_sta.resize(static_cast<std::size_t>(n));
-    mw_stale_b.Assign(n);
-  }
   const bool fwd = config_.store_forwarding;
 
-  // Fast-tier event helpers, keyed by (position, station). Clearing must
-  // run while the station still holds its instruction.
-  const auto fast_clear_slot = [&](int p, int i, const Station& st) {
+  // Byte-lane loop: station @p i's arguments from the propagation.
+  const auto args_of = [&](int i) -> const datapath::ResolvedArgs& {
+    return incremental ? dp_state->args(i)
+                       : prop.args[static_cast<std::size_t>(i)];
+  };
+  const auto build_requests = [&] {
+    for (int i = 0; i < n; ++i) {
+      datapath::StationRequest& req = requests[static_cast<std::size_t>(i)];
+      req = datapath::StationRequest{};
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      if (st.valid) {
+        const isa::Instruction& inst = st.inst();
+        req.reads1 = isa::ReadsRs1(inst.op);
+        req.arg1 = inst.rs1;
+        req.reads2 = isa::ReadsRs2(inst.op);
+        req.arg2 = inst.rs2;
+        req.writes = isa::WritesRd(inst.op);
+        req.dest = inst.rd;
+        req.result = st.result;
+      }
+    }
+  };
+
+  // Packed event helpers, keyed by (position, station). Clearing must run
+  // while the station still holds its instruction. An injected stall
+  // sticks to its station, so a fill re-derives the position's stall lane.
+  const auto packed_clear_slot = [&](int p, int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     if (isa::WritesRd(inst.op)) wmap.ClearWriter(p, inst.rd);
     if (isa::ReadsRs1(inst.op)) wmap.ClearReader(p, inst.rs1);
     if (isa::ReadsRs2(inst.op)) wmap.ClearReader(p, inst.rs2);
     for (auto* m : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
-                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &stale_b}) {
+                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &stall_b,
+                    &stale_b}) {
       m->Clear(p);
     }
     mw_stale_b.Clear(i);
     args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
     if (fwd) mem_window_sta[static_cast<std::size_t>(i)] = MemWindowEntry{};
   };
-  const auto fast_fill_slot = [&](int p, int i, const Station& st) {
+  const auto packed_fill_slot = [&](int p, int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     valid_b.Set(p);
     const isa::Opcode op = inst.op;
@@ -179,6 +184,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
     if (isa::WritesRd(op)) wmap.SetWriter(p, inst.rd);
     if (isa::ReadsRs1(op)) wmap.AddReader(p, inst.rs1);
     if (isa::ReadsRs2(op)) wmap.AddReader(p, inst.rs2);
+    stall_b.SetTo(p, fault_stall[static_cast<std::size_t>(i)] > 0);
     stale_b.Set(p);
     if (fwd) mw_stale_b.Set(i);
   };
@@ -196,6 +202,65 @@ RunResult HybridCore::Run(const isa::Program& program) {
   const auto position_of = [&](int i) {
     return ((i / C - head_cluster + K) % K) * C + i % C;
   };
+  // The cached arguments of station @p i, at position @p p, were
+  // (re)written: refresh its readiness lane, and its memory-window entry
+  // when they @p moved.
+  const auto args_written = [&](int p, int i, bool moved) {
+    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
+    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
+    argr_b.SetTo(p, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
+                        (!isa::ReadsRs2(inst.op) || args.arg2.ready));
+    if (fwd && moved) mw_stale_b.Set(i);
+  };
+  // Fault injection and self-checking (packed loop only), once the cycle's
+  // arguments are final and before any station reads them.
+  const auto inject_and_check = [&](std::uint64_t cycle) {
+    if (injector.active()) {
+      injector.BeginCycle(cycle);
+      injector.ApplyDatapathFaults(args_at);
+      tel.OnFaults(cycle, injector.pending());
+      for (const fault::FaultEvent& e : injector.pending()) {
+        const int i = e.station % n;
+        const int p = position_of(i);
+        if (e.kind == fault::FaultKind::kStallStation) {
+          fault_stall[static_cast<std::size_t>(i)] +=
+              static_cast<int>(e.payload % 8) + 1;
+          if (p < tail) stall_b.Set(p);
+          injector.NoteStall();
+        } else if (fault::TargetsDatapath(e.kind) && p < tail) {
+          args_written(p, i, true);
+        }
+      }
+    }
+    if (!checked || !checker.Due(cycle, injector.HasHazardousPending())) {
+      return;
+    }
+    checker.RecordCheck();
+    tel.OnCheckerCheck(cycle);
+    // Recompute every uncommitted station's arguments with the full cluster
+    // propagation and overwrite the cached ones that differ.
+    build_requests();
+    prop = dp.Propagate(committed, requests, head_cluster);
+    std::uint64_t mismatched = 0;
+    for (int p = commit_ptr; p < tail; ++p) {
+      const int i = station_index(p);
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      const datapath::ResolvedArgs& full =
+          prop.args[static_cast<std::size_t>(i)];
+      datapath::ResolvedArgs truth;
+      if (isa::ReadsRs1(st.inst().op)) truth.arg1 = full.arg1;
+      if (isa::ReadsRs2(st.inst().op)) truth.arg2 = full.arg2;
+      datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
+      if (seen == truth) continue;
+      mismatched += (seen.arg1 != truth.arg1) + (seen.arg2 != truth.arg2);
+      seen = truth;
+      args_written(p, i, true);
+    }
+    if (mismatched > 0) {
+      checker.RecordDivergence(cycle, mismatched);
+      tel.OnCheckerResync(cycle, mismatched);
+    }
+  };
 
   CheckpointSession ckpt(config_, ProcessorKind::kHybrid, program);
   const auto save_state = [&](persist::Encoder& e) {
@@ -208,12 +273,12 @@ RunResult HybridCore::Run(const isa::Program& program) {
     SaveInflight(e, inflight);
     SavePartialResult(e, result);
     for (const int s : fault_stall) e.I32(s);
-    dp_state.SaveState(e);
     injector.SaveState(e);
     checker.SaveState(e);
     fetch.SaveState(e);
     mem.SaveState(e);
     SaveTelemetrySlots(e, config_);
+    if (packed) SavePackedArgs(e, args_at, stale_b);
   };
   std::uint64_t start_cycle = 0;
   if (ckpt.resume() != nullptr) {
@@ -227,31 +292,40 @@ RunResult HybridCore::Run(const isa::Program& program) {
     RestoreInflight(d, inflight);
     RestorePartialResult(d, result);
     for (int& s : fault_stall) s = d.I32();
-    dp_state.RestoreState(d);
     injector.RestoreState(d);
     checker.RestoreState(d);
     fetch.RestoreState(d);
     mem.RestoreState(d);
     RestoreTelemetrySlots(d, config_);
-    if (!d.AtEnd()) {
-      throw persist::FormatError("trailing checkpoint bytes");
-    }
-    start_cycle = ckpt.resume()->header.cycle;
-    if (fast) {
-      // Rebuild the derived packed shadow from the restored stations. The
-      // cached arguments are a pure function of (stations, committed), so
-      // marking every live position stale makes the first phase-1 drain
-      // recompute exactly the values the uninterrupted run carried.
+    if (packed) {
+      // Rebuild the derived packed state from the restored stations, then
+      // take the cached arguments and the stale set verbatim.
       for (int p = 0; p < tail; ++p) {
         const int i = station_index(p);
         const Station& st = stations[static_cast<std::size_t>(i)];
         if (!st.valid) continue;
-        fast_fill_slot(p, i, st);
+        packed_fill_slot(p, i, st);
         fin_b.SetTo(p, st.finished);
         iss_b.SetTo(p, st.issued);
         res_b.SetTo(p, st.resolved);
         msub_b.SetTo(p, st.mem_submitted);
       }
+      RestorePackedArgs(d, args_at, stale_b);
+      for (int p = 0; p < tail; ++p) {
+        if (stations[static_cast<std::size_t>(station_index(p))].valid) {
+          args_written(p, station_index(p), false);
+        }
+      }
+    }
+    if (!d.AtEnd()) {
+      throw persist::FormatError("trailing checkpoint bytes");
+    }
+    start_cycle = ckpt.resume()->header.cycle;
+  }
+  if (incremental) {
+    dp_state.emplace(n, L, C);
+    for (int r = 0; r < L; ++r) {
+      dp_state->SetCommitted(r, committed[static_cast<std::size_t>(r)]);
     }
   }
 
@@ -266,7 +340,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
     tel.OnCycle(cycle, tail - commit_ptr);
 
     // --- Phase 1: combinational propagation (end-of-last-cycle state). ---
-    if (fast) {
+    if (packed) {
       // Event-driven delivery: re-resolve only the positions whose
       // argument source changed since the last cycle (writer result
       // movement, their own fill, or a squash). Stations are untouched
@@ -282,7 +356,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
         // not); committed stations keep driving the ring until their
         // cluster deallocates, and a reader with no preceding writer
         // takes the committed file.
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
+        const auto read = [&](isa::RegId r) -> datapath::RegBinding {
           const int j =
               wmap.NearestWriterBeforeAcyclic(p, static_cast<int>(r));
           return j >= 0
@@ -290,76 +364,24 @@ RunResult HybridCore::Run(const isa::Program& program) {
                            .result
                      : committed[r];
         };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
+        if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
+        if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
         args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(p, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-        if (fwd) mw_stale_b.Set(i);
+        args_written(p, i, true);
       });
       stale_b.ClearAll();
+      // --- Phase 1b: fault injection + self-checking. ---
+      inject_and_check(cycle);
     } else {
-    for (int i = 0; i < n; ++i) {
-      datapath::StationRequest& req = requests[static_cast<std::size_t>(i)];
-      req = datapath::StationRequest{};
-      const Station& st = stations[static_cast<std::size_t>(i)];
-      if (st.valid) {
-        const isa::Instruction& inst = st.inst();
-        req.reads1 = isa::ReadsRs1(inst.op);
-        req.arg1 = inst.rs1;
-        req.reads2 = isa::ReadsRs2(inst.op);
-        req.arg2 = inst.rs2;
-        req.writes = isa::WritesRd(inst.op);
-        req.dest = inst.rd;
-        req.result = st.result;
-      }
-    }
-    if (incremental) {
-      dp_state.SetOldestCluster(head_cluster);
-      for (int i = 0; i < n; ++i) {
-        dp_state.SetStation(i, requests[static_cast<std::size_t>(i)]);
-      }
-      dp.PropagateIncremental(dp_state);
-    } else {
-      prop = dp.Propagate(committed, requests, head_cluster);
-    }
-    }
-
-    // --- Phase 1b: fault injection + self-checking (before any station
-    // reads its resolved arguments this cycle). ---
-    if (injector.active()) {
-      injector.BeginCycle(cycle);
-      injector.ApplyDatapathFaults(dp_state);
-      tel.OnFaults(cycle, injector.pending());
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind == fault::FaultKind::kStallStation) {
-          fault_stall[static_cast<std::size_t>(e.station % n)] +=
-              static_cast<int>(e.payload % 8) + 1;
-          injector.NoteStall();
+      build_requests();
+      if (incremental) {
+        dp_state->SetOldestCluster(head_cluster);
+        for (int i = 0; i < n; ++i) {
+          dp_state->SetStation(i, requests[static_cast<std::size_t>(i)]);
         }
-      }
-    }
-    if (checked && checker.Due(cycle, injector.HasHazardousPending())) {
-      checker.RecordCheck();
-      tel.OnCheckerCheck(cycle);
-      // Snapshot the (possibly corrupted) argument buffer, rebuild it from
-      // the inputs, and diff; the rebuild is itself the resync.
-      for (int i = 0; i < n; ++i) {
-        check_args[static_cast<std::size_t>(i)] = dp_state.args(i);
-      }
-      dp_state.MarkAllDirty();
-      dp.PropagateIncremental(dp_state);
-      std::uint64_t mismatched = 0;
-      for (int i = 0; i < n; ++i) {
-        const datapath::ResolvedArgs& truth = dp_state.args(i);
-        const datapath::ResolvedArgs& seen =
-            check_args[static_cast<std::size_t>(i)];
-        if (seen.arg1 != truth.arg1) ++mismatched;
-        if (seen.arg2 != truth.arg2) ++mismatched;
-      }
-      if (mismatched > 0) {
-        checker.RecordDivergence(cycle, mismatched);
-        tel.OnCheckerResync(cycle, mismatched);
+        dp.PropagateIncremental(*dp_state);
+      } else {
+        prop = dp.Propagate(committed, requests, head_cluster);
       }
     }
 
@@ -392,59 +414,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
 
     // Sequencing flags in program order over the allocated positions.
     if (packed) {
-      if (!fast) {
-      // Word-accumulator composition over positions; invalid lanes stay
-      // all-zero, which makes every derived condition for them vacuous.
-      // Tier B (fault plans): the injected-stall lanes are recomposed from
-      // the station-indexed counters every cycle, because positions
-      // renumber at cluster deallocation while the counters stay put.
-      std::uint64_t av = 0, af = 0, ai = 0, ar = 0, am = 0, al = 0, as = 0,
-                    ac = 0, aa = 0, an = 0, ag = 0, ast = 0;
-      for (int p = 0; p < tail; ++p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (st.valid) {
-          const std::uint64_t bit = 1ULL << (p & 63);
-          av |= bit;
-          if (st.finished) af |= bit;
-          if (st.issued) ai |= bit;
-          if (st.resolved) ar |= bit;
-          if (st.mem_submitted) am |= bit;
-          if (fault_stall[static_cast<std::size_t>(i)] > 0) ast |= bit;
-          const isa::Instruction& inst = st.inst();
-          if (inst.op == isa::Opcode::kLoad) {
-            al |= bit;
-          } else if (inst.op == isa::Opcode::kStore) {
-            as |= bit;
-          } else {
-            aa |= bit;
-          }
-          if (isa::IsControlFlow(inst.op)) ac |= bit;
-          if (NeedsAlu(inst.op)) an |= bit;
-          const datapath::ResolvedArgs& args = args_of(i);
-          if ((!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-              (!isa::ReadsRs2(inst.op) || args.arg2.ready)) {
-            ag |= bit;
-          }
-        }
-        if ((p & 63) == 63 || p == tail - 1) {
-          const int w = p >> 6;
-          valid_b.word(w) = av;
-          fin_b.word(w) = af;
-          iss_b.word(w) = ai;
-          res_b.word(w) = ar;
-          msub_b.word(w) = am;
-          ld_b.word(w) = al;
-          stb_b.word(w) = as;
-          cf_b.word(w) = ac;
-          alu_like_b.word(w) = aa;
-          needs_alu_b.word(w) = an;
-          argr_b.word(w) = ag;
-          stall_b.word(w) = ast;
-          av = af = ai = ar = am = al = as = ac = aa = an = ag = ast = 0;
-        }
-      }
-      }
       // Stale lanes >= tail cannot influence the acyclic prefixes (they
       // only look backward), and every other reduction masks them out.
       for (int w = 0; w < pw; ++w) {
@@ -507,16 +476,14 @@ RunResult HybridCore::Run(const isa::Program& program) {
           const int i = static_cast<int>(tag.tag);
           const int p = position_of(i);
           if (p < tail) {
+            // The load's result binding just became ready: its readers
+            // re-resolve at the next phase-1 drain, exactly when the
+            // propagation would have delivered the new value.
             fin_b.Set(p);
-            if (fast) {
-              // The load's result binding just became ready: its readers
-              // re-resolve at the next phase-1 drain, exactly when the
-              // propagation would have delivered the new value.
-              if (isa::WritesRd(st.inst().op)) {
-                mark_result_change(p, st.inst().rd);
-              }
-              if (fwd) mw_stale_b.Set(i);
+            if (isa::WritesRd(st.inst().op)) {
+              mark_result_change(p, st.inst().rd);
             }
+            if (fwd) mw_stale_b.Set(i);
           }
         }
         tel.OnMemComplete(cycle, static_cast<int>(tag.tag), st, was_finished);
@@ -526,7 +493,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
     // --- Phase 3: execute in program order. ---
     const int live = tail;
     if (fwd) {
-      if (fast) {
+      if (packed) {
         // Refresh only the station-indexed window entries whose station or
         // arguments moved -- after phase 2, so this cycle's memory
         // completions are visible to disambiguation, as in the rebuilt
@@ -580,12 +547,11 @@ RunResult HybridCore::Run(const isa::Program& program) {
     if (packed) {
       // Visit only stations whose StepStation call would act (the mask
       // mirrors its no-op predicate exactly, so skipping is identical),
-      // plus stations serving an injected stall, which must decrement
-      // their counters in walk order like the scalar loop's skip does
-      // (after the valid/finished screen, hence the & ~fin term). With
-      // store forwarding on, a load's gate is its disambiguation decision
-      // rather than the prev-stores-done prefix, so the load term drops
-      // psd (an undecidable load is visited and no-ops).
+      // plus unfinished stations serving an injected stall, which sit the
+      // cycle out and count it down. With store forwarding on, a load's
+      // gate is its disambiguation decision rather than the
+      // prev-stores-done prefix, so the load term drops psd (an
+      // undecidable load is visited and no-ops).
       int p0 = commit_ptr;
       bool squashed = false;
       while (p0 < tail && !squashed) {
@@ -620,52 +586,40 @@ RunResult HybridCore::Run(const isa::Program& program) {
             continue;
           }
           Station& st = stations[static_cast<std::size_t>(i)];
-          const datapath::ResolvedArgs& args =
-              fast ? args_at[static_cast<std::size_t>(i)] : args_of(i);
           StepContext ctx;
           ctx.prev_stores_done = psd_b.Test(p);
           ctx.prev_loads_done = pld_b.Test(p);
           ctx.committed_ok = pcf_b.Test(p);
           ctx.alu_granted = config_.num_alus == 0 || grant_b.Test(p);
           ctx.forwarding_enabled = fwd;
-          if (fwd && st.inst().op == isa::Opcode::kLoad) {
-            if (fast) {
-              if (mem_window_sta[static_cast<std::size_t>(i)].addr_known) {
-                const auto decision = ResolveLoadForwardingMapped(
-                    [&](std::size_t k) -> const MemWindowEntry& {
-                      return mem_window_sta[static_cast<std::size_t>(
-                          station_index(static_cast<int>(k)))];
-                    },
-                    static_cast<std::size_t>(p));
-                ctx.load_can_proceed = decision.can_proceed;
-                ctx.load_forward = decision.forward;
-                ctx.forward_value = decision.value;
-              }
-            } else if (mem_window[static_cast<std::size_t>(p)].addr_known) {
-              const auto decision = ResolveLoadForwarding(
-                  mem_window, static_cast<std::size_t>(p));
-              ctx.load_can_proceed = decision.can_proceed;
-              ctx.load_forward = decision.forward;
-              ctx.forward_value = decision.value;
-            }
+          if (fwd && st.inst().op == isa::Opcode::kLoad &&
+              mem_window_sta[static_cast<std::size_t>(i)].addr_known) {
+            const auto decision = ResolveLoadForwardingMapped(
+                [&](std::size_t k) -> const MemWindowEntry& {
+                  return mem_window_sta[static_cast<std::size_t>(
+                      station_index(static_cast<int>(k)))];
+                },
+                static_cast<std::size_t>(p));
+            ctx.load_can_proceed = decision.can_proceed;
+            ctx.load_forward = decision.forward;
+            ctx.forward_value = decision.value;
           }
           const bool was_issued = st.issued;
           const bool was_finished = st.finished;
           const datapath::RegBinding pre_result = st.result;
           const bool mispredicted = StepStation(
-              st, args, ctx, config_.latencies, mem, cycle, i,
-              static_cast<std::uint64_t>(i), inflight, result.stats);
+              st, args_at[static_cast<std::size_t>(i)], ctx,
+              config_.latencies, mem, cycle, i, static_cast<std::uint64_t>(i),
+              inflight, result.stats);
           tel.OnStep(cycle, i, st, was_issued, was_finished);
-          if (fast) {
-            iss_b.SetTo(p, st.issued);
-            fin_b.SetTo(p, st.finished);
-            res_b.SetTo(p, st.resolved);
-            msub_b.SetTo(p, st.mem_submitted);
-            if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-              mark_result_change(p, st.inst().rd);
-            }
-            if (fwd) mw_stale_b.Set(i);
+          iss_b.SetTo(p, st.issued);
+          fin_b.SetTo(p, st.finished);
+          res_b.SetTo(p, st.resolved);
+          msub_b.SetTo(p, st.mem_submitted);
+          if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
+            mark_result_change(p, st.inst().rd);
           }
+          if (fwd) mw_stale_b.Set(i);
           if (mispredicted) {
             ++result.stats.mispredictions;
             for (int m = p + 1; m < tail; ++m) {
@@ -674,7 +628,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
               if (victim.valid) {
                 ++result.stats.squashed_instructions;
                 tel.OnSquash(cycle, vi, victim);
-                if (fast) fast_clear_slot(m, vi, victim);
+                packed_clear_slot(m, vi, victim);
                 victim.Clear();
                 ++victim.generation;
               }
@@ -692,10 +646,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
       const int i = station_index(p);
       Station& st = stations[static_cast<std::size_t>(i)];
       if (!st.valid || st.finished) continue;
-      if (fault_stall[static_cast<std::size_t>(i)] > 0) {
-        --fault_stall[static_cast<std::size_t>(i)];
-        continue;  // Injected stall: the station sits out this cycle.
-      }
       StepContext ctx;
       ctx.prev_stores_done =
           prev_stores_done[static_cast<std::size_t>(p)] != 0;
@@ -767,6 +717,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
             ++result.stats.squashed_instructions;
             ++result.stats.fault.squashes;
             tel.OnSquash(cycle, vi, victim);
+            packed_clear_slot(m, vi, victim);
             victim.Clear();
             ++victim.generation;
           }
@@ -787,8 +738,8 @@ RunResult HybridCore::Run(const isa::Program& program) {
       if (isa::WritesRd(inst.op)) {
         assert(st.result.ready);
         committed[inst.rd] = st.result;
-        if (maintain_dp) dp_state.SetCommitted(inst.rd, st.result);
-        // Fast tier: no reader re-resolution is needed at commit. The
+        if (incremental) dp_state->SetCommitted(inst.rd, st.result);
+        // Packed loop: no reader re-resolution is needed at commit. The
         // committing writer's station keeps driving the ring until its
         // cluster deallocates, so every in-window reader's nearest
         // preceding writer -- and the binding it delivers -- is unchanged.
@@ -813,7 +764,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
       for (int s = 0; s < C; ++s) {
         const int i = head_cluster * C + s;
         Station& st = stations[static_cast<std::size_t>(i)];
-        if (fast) {
+        if (packed) {
           // Station-indexed caches are cleared point-wise; the slot is
           // about to be refilled with a new instruction.
           mw_stale_b.Clear(i);
@@ -824,7 +775,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
         st.Clear();
         ++st.generation;
       }
-      if (fast) {
+      if (packed) {
         // Every live position renumbers down by C. No reader goes stale:
         // a reader whose nearest preceding writer just deallocated must
         // have been reading r's last committed writer, whose commit made
@@ -833,7 +784,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
         // Cached arguments are value copies and survive untouched.
         for (auto* m : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b,
                         &stb_b, &cf_b, &alu_like_b, &needs_alu_b, &argr_b,
-                        &stale_b}) {
+                        &stall_b, &stale_b}) {
           datapath::PackedShiftDown(*m, C);
         }
         wmap.ShiftDown(C);
@@ -859,8 +810,9 @@ RunResult HybridCore::Run(const isa::Program& program) {
                     cycle);
         stations[static_cast<std::size_t>(slot)].timing.station = slot;
         tel.OnFetch(cycle, slot, stations[static_cast<std::size_t>(slot)]);
-        if (fast) {
-          fast_fill_slot(tail, slot, stations[static_cast<std::size_t>(slot)]);
+        if (packed) {
+          packed_fill_slot(tail, slot,
+                           stations[static_cast<std::size_t>(slot)]);
         }
         ++tail;
       }

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include <bit>
+#include <optional>
 
 #include "core/checkpoint_util.hpp"
 #include "core/exec.hpp"
@@ -64,58 +65,44 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
   RunResult result;
   bool done = false;
 
-  // Checked mode runs the incremental machinery plus the cross-validation
-  // below, so everything keyed on `incremental` applies to it too.
-  const bool incremental =
-      config_.datapath_eval != DatapathEval::kFullRecompute;
+  // Evaluation modes. kPacked and kChecked share one word-parallel cycle
+  // loop: the Figure 5 flags, their CSPP prefixes, the ALU grants and the
+  // execute phase's visit set evaluate 64 stations per word op, and
+  // argument delivery is event-driven through a PackedWriterMap
+  // (per-register writer/reader rows over the ring) -- each station's
+  // resolved arguments are cached and a stale mask re-resolves only the
+  // stations whose source changed. Pipelined delivery is a function of
+  // wall-clock distance, so under it the packed loop re-resolves every live
+  // station each cycle with the program-order last-writer sweep instead.
+  // kChecked adds the DatapathChecker. kIncremental and kFullRecompute run
+  // the byte-lane loop over the propagated ring.
+  const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
+                      config_.datapath_eval == DatapathEval::kChecked;
   const bool checked = config_.datapath_eval == DatapathEval::kChecked;
+  const bool incremental =
+      config_.datapath_eval == DatapathEval::kIncremental;
   const bool pipelined = config_.pipeline_levels_per_stage > 0;
-  // Word-parallel packed mode, fallback-free: the Figure 5 flags, their
-  // CSPP prefixes, the ALU grants, and the execute phase's visit set all
-  // evaluate 64 stations per word op under every CoreConfig. Two tiers
-  // share that machinery:
-  //  * fast tier -- argument delivery is event-driven through a
-  //    PackedWriterMap (per-register writer/reader rows over the ring), so
-  //    the per-cycle O(n) datapath propagation and argument sweep disappear
-  //    entirely; a stale mask re-resolves only stations whose source
-  //    changed. Store forwarding and telemetry run here.
-  //  * observation tier -- fault plans corrupt the incremental delivery
-  //    state and pipelined delivery is a function of wall-clock distance,
-  //    so those configs keep the incremental argument machinery (dp_state
-  //    propagation + the per-cycle resolve sweep) underneath the packed
-  //    prefixes and walk. Byte-identical by construction, and the only
-  //    packed configs that still pay O(n) per cycle.
-  const bool packed = config_.datapath_eval == DatapathEval::kPacked;
-  const bool fast =
-      packed && config_.fault_plan == nullptr && !pipelined;
-  const bool maintain_dp = incremental && !fast;
 
   CoreTelemetry tel(config_);
   // The program-order last-writer sweep serves both the pipelined datapath
   // and the propagation-distance histogram.
   const bool track_writers = pipelined || tel.metrics_on();
-
   fault::FaultInjector injector(config_.fault_plan.get());
   fault::DatapathChecker checker(config_.checker_stride);
-  // Checked-mode scratch: the delivery buffer as the stations would read
-  // it, register-major like the state's own storage.
-  std::vector<datapath::RegBinding> check_snapshot;
-  if (checked) check_snapshot.resize(static_cast<std::size_t>(n) * L);
   // Remaining injected-stall cycles per station.
   std::vector<int> fault_stall(static_cast<std::size_t>(n), 0);
 
-  // Persistent datapath state for the incremental path: mutated through
-  // self-diffing setters each cycle, so only changed register columns are
-  // re-propagated and nothing is allocated.
-  datapath::UsiDatapathState dp_state(n, L);
-  for (int r = 0; r < L; ++r) {
-    dp_state.SetCommitted(r, committed[static_cast<std::size_t>(r)]);
-  }
-  // Full-recompute buffers (reference path only).
+  // Persistent ring state for the incremental path, mutated through
+  // self-diffing setters each cycle so only changed register columns are
+  // re-propagated and nothing is allocated. It is a function of the
+  // stations and the committed file, so it is built after any restore.
+  std::optional<datapath::UsiDatapathState> dp_state;
+  // Full-recompute buffers: the reference path's per-cycle propagation and
+  // the checker's recomputation target.
   std::vector<datapath::RegBinding> outgoing;
   std::vector<std::uint8_t> modified;
   std::vector<datapath::RegBinding> incoming;
-  if (!incremental) {
+  if (config_.datapath_eval == DatapathEval::kFullRecompute || checked) {
     outgoing.resize(static_cast<std::size_t>(n) * L);
     modified.resize(static_cast<std::size_t>(n) * L);
   }
@@ -128,24 +115,29 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> prev_stores_done(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> prev_loads_done(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> prev_confirmed(static_cast<std::size_t>(n));
+  // Resolved arguments per station: rebuilt every cycle by the byte-lane
+  // loop, cached across cycles by the packed loop.
   std::vector<datapath::ResolvedArgs> args_at(static_cast<std::size_t>(n));
   std::vector<core::MemWindowEntry> mem_window;
   std::vector<std::uint8_t> alu_requests(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> alu_grant(static_cast<std::size_t>(n));
-  // Program-order last writer per register during phase 3a (pipelined
-  // datapath only); replaces the per-operand backward window scan.
+  // Program-order last writer per register during a window sweep; replaces
+  // the per-operand backward window scan.
   std::vector<int> last_writer(static_cast<std::size_t>(L));
   std::vector<FetchedInstr> fetch_batch;
 
-  // Packed shadow state (kPacked only). The observation tier recomposes the
-  // flag masks from the stations every cycle; the fast tier mutates them at
-  // event sites and never rebuilds them. Either way they are derived state
-  // and never checkpointed (RebuildPackedShadow below reconstructs them on
-  // resume).
+  // Packed state (kPacked/kChecked only). The flag masks, the writer map
+  // and the memory window are mutated at event sites and derived from the
+  // stations, so a restore rebuilds them; the cached arguments and the
+  // stale set are checkpointed (SavePackedArgs).
   const int pw = datapath::PackedWordCount(n);
   datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
       cf_b, alu_like_b, needs_alu_b, argr_b, cond_b, psd_b, pld_b, pcf_b,
       req_b, grant_b, stall_b, stale_b, mw_stale_b;
+  // Per-register writer/reader rows over the ring, and a position-indexed
+  // memory window (the byte-lane loop keeps the age-indexed mem_window).
+  datapath::PackedWriterMap wmap;
+  std::vector<core::MemWindowEntry> mem_window_pos;
   if (packed) {
     for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
                     &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &cond_b,
@@ -153,22 +145,15 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
                     &stale_b, &mw_stale_b}) {
       p->Assign(n);
     }
-  }
-  // Fast-tier structures: per-register writer/reader rows over the ring,
-  // cached resolved arguments, and a position-indexed memory window (the
-  // observation/incremental paths keep the age-indexed mem_window above).
-  datapath::PackedWriterMap wmap;
-  std::vector<core::MemWindowEntry> mem_window_pos;
-  if (fast) {
     wmap.Assign(n, L);
     mem_window_pos.resize(static_cast<std::size_t>(n));
   }
   const bool fwd = config_.store_forwarding;
 
-  // Fast-tier event helpers. Clearing a slot must run while the station
-  // still holds its instruction (the writer/reader rows are keyed by its
-  // register fields).
-  const auto fast_clear_slot = [&](int i, const Station& st) {
+  // Packed event helpers. Clearing a slot must run while the station still
+  // holds its instruction (the writer/reader rows are keyed by its register
+  // fields).
+  const auto packed_clear_slot = [&](int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     if (isa::WritesRd(inst.op)) wmap.ClearWriter(i, inst.rd);
     if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
@@ -181,7 +166,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
     if (fwd) mem_window_pos[static_cast<std::size_t>(i)] = MemWindowEntry{};
   };
-  const auto fast_fill_slot = [&](int i, const Station& st) {
+  const auto packed_fill_slot = [&](int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     valid_b.Set(i);
     const isa::Opcode op = inst.op;
@@ -210,6 +195,140 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     wmap.OrReadersInCyclicRange(static_cast<int>(r), (j + 1) % n,
                                 nw >= 0 ? (nw + 1) % n : head, stale_b);
   };
+  // Station @p i's cached arguments were (re)written: refresh its
+  // readiness lane, and its memory-window entry when they @p moved.
+  const auto args_written = [&](int i, bool moved) {
+    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
+    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
+    argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
+                        (!isa::ReadsRs2(inst.op) || args.arg2.ready));
+    if (fwd && moved) mw_stale_b.Set(i);
+  };
+
+  // Full-recompute propagation of the ring from the current stations.
+  const auto propagate_full = [&] {
+    std::fill(modified.begin(), modified.end(), 0);
+    for (auto& b : outgoing) b = datapath::RegBinding{};
+    for (int r = 0; r < L; ++r) {
+      outgoing[static_cast<std::size_t>(head) * L + r] =
+          committed[static_cast<std::size_t>(r)];
+    }
+    for (int i = 0; i < n; ++i) {
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      if (st.valid && isa::WritesRd(st.inst().op)) {
+        const std::size_t idx = static_cast<std::size_t>(i) * L + st.inst().rd;
+        outgoing[idx] = st.result;
+        modified[idx] = 1;
+      }
+    }
+    incoming = dp.Propagate(outgoing, modified, head);
+  };
+  // Program-order sweep over the live window: calls @p visit(k, i, st) for
+  // every valid station, with last_writer holding each register's nearest
+  // preceding writer in the window when track_writers is set.
+  const auto sweep = [&](auto&& visit) {
+    if (track_writers) std::fill(last_writer.begin(), last_writer.end(), -1);
+    for (int k = 0; k < count; ++k) {
+      const int i = (head + k) % n;
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      if (!st.valid) continue;
+      visit(k, i, st);
+      if (track_writers && isa::WritesRd(st.inst().op)) {
+        last_writer[static_cast<std::size_t>(st.inst().rd)] = i;
+      }
+    }
+  };
+  // Ring distance from each operand's source (the nearest preceding writer,
+  // or the committed file at the oldest station), inside a sweep.
+  const auto record_distances = [&](int k, int i, const Station& st) {
+    const auto dist = [&](isa::RegId r) {
+      const int j = k == 0 ? head : last_writer[static_cast<std::size_t>(r)];
+      tel.OnDistance(j >= 0 ? (i - j + n) % n : (i - head + n) % n);
+    };
+    if (isa::ReadsRs1(st.inst().op)) dist(st.inst().rs1);
+    if (isa::ReadsRs2(st.inst().op)) dist(st.inst().rs2);
+  };
+  // What station @p i, @p k-th from the head, reads on @p cycle, inside a
+  // sweep. The oldest station ignores the ring and reads the committed
+  // file; otherwise the value comes over the pipelined tree or from the
+  // propagated ring.
+  const auto resolve = [&](int k, int i, const Station& st,
+                           std::uint64_t cycle) {
+    const auto read = [&](isa::RegId r) -> datapath::RegBinding {
+      if (k == 0) return committed[r];
+      if (!pipelined) {
+        return incremental ? dp_state->incoming(i, r)
+                           : incoming[static_cast<std::size_t>(i) * L + r];
+      }
+      // Pipelined datapath: the nearest preceding writer plus the
+      // distance-dependent latch latency.
+      const int j = last_writer[static_cast<std::size_t>(r)];
+      if (j >= 0) {
+        const Station& w = stations[static_cast<std::size_t>(j)];
+        if (!w.finished) return {w.result.value, false};
+        const int lat = PipeCycles(j, i, config_.pipeline_levels_per_stage);
+        if (cycle >= w.timing.complete_cycle +
+                         static_cast<std::uint64_t>(lat)) {
+          return w.result;
+        }
+        return {w.result.value, false};  // Still in flight on the tree.
+      }
+      // Committed-file read: the file lives in the oldest station, so the
+      // value still crosses the tree from there.
+      const int lat = PipeCycles(head, i, config_.pipeline_levels_per_stage);
+      if (cycle >= committed_at[r] + static_cast<std::uint64_t>(lat)) {
+        return committed[r];
+      }
+      return {committed[r].value, false};
+    };
+    datapath::ResolvedArgs args;
+    if (isa::ReadsRs1(st.inst().op)) args.arg1 = read(st.inst().rs1);
+    if (isa::ReadsRs2(st.inst().op)) args.arg2 = read(st.inst().rs2);
+    return args;
+  };
+  // Fault injection and self-checking (packed loop only), once the cycle's
+  // arguments are final and before any station reads them.
+  const auto inject_and_check = [&](std::uint64_t cycle) {
+    if (injector.active()) {
+      injector.BeginCycle(cycle);
+      injector.ApplyDatapathFaults(args_at);
+      tel.OnFaults(cycle, injector.pending());
+      for (const fault::FaultEvent& e : injector.pending()) {
+        const int i = e.station % n;
+        if (e.kind == fault::FaultKind::kStallStation) {
+          fault_stall[static_cast<std::size_t>(i)] +=
+              static_cast<int>(e.payload % 8) + 1;
+          stall_b.Set(i);
+          injector.NoteStall();
+        } else if (fault::TargetsDatapath(e.kind) &&
+                   stations[static_cast<std::size_t>(i)].valid) {
+          args_written(i, true);
+        }
+      }
+    }
+    if (!checked || !checker.Due(cycle, injector.HasHazardousPending())) {
+      return;
+    }
+    checker.RecordCheck();
+    tel.OnCheckerCheck(cycle);
+    // Recompute every live station's arguments from scratch (the full ring
+    // propagation, or the pipelined sweep itself) and overwrite the cached
+    // ones that differ.
+    if (!pipelined) propagate_full();
+    std::uint64_t mismatched = 0;
+    sweep([&](int k, int i, const Station& st) {
+      const datapath::ResolvedArgs truth = resolve(k, i, st, cycle);
+      datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
+      if (seen == truth) return;
+      mismatched += (seen.arg1 != truth.arg1) + (seen.arg2 != truth.arg2);
+      seen = truth;
+      args_written(i, true);
+    });
+    if (mismatched > 0) {
+      checker.RecordDivergence(cycle, mismatched);
+      tel.OnCheckerResync(cycle, mismatched);
+    }
+  };
 
   CheckpointSession ckpt(config_, ProcessorKind::kUltrascalarI, program);
   const auto save_state = [&](persist::Encoder& e) {
@@ -222,12 +341,12 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     SaveInflight(e, inflight);
     SavePartialResult(e, result);
     for (const int s : fault_stall) e.I32(s);
-    dp_state.SaveState(e);
     injector.SaveState(e);
     checker.SaveState(e);
     fetch.SaveState(e);
     mem.SaveState(e);
     SaveTelemetrySlots(e, config_);
+    if (packed) SavePackedArgs(e, args_at, stale_b);
   };
   std::uint64_t start_cycle = 0;
   if (ckpt.resume() != nullptr) {
@@ -241,26 +360,18 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     RestoreInflight(d, inflight);
     RestorePartialResult(d, result);
     for (int& s : fault_stall) s = d.I32();
-    dp_state.RestoreState(d);
     injector.RestoreState(d);
     checker.RestoreState(d);
     fetch.RestoreState(d);
     mem.RestoreState(d);
     RestoreTelemetrySlots(d, config_);
-    if (!d.AtEnd()) {
-      throw persist::FormatError("trailing checkpoint bytes");
-    }
-    start_cycle = ckpt.resume()->header.cycle;
     if (packed) {
-      // Rebuild the derived packed shadow from the restored stations. The
-      // fast tier's cached arguments are a pure function of station state
-      // and the committed file, so marking every live station stale makes
-      // the first resumed cycle recompute exactly the values the
-      // uninterrupted run had cached.
+      // Rebuild the derived packed state from the restored stations, then
+      // take the cached arguments and the stale set verbatim.
       for (int i = 0; i < n; ++i) {
         const Station& st = stations[static_cast<std::size_t>(i)];
-        if (fast && st.valid) {
-          fast_fill_slot(i, st);
+        if (st.valid) {
+          packed_fill_slot(i, st);
           fin_b.SetTo(i, st.finished);
           iss_b.SetTo(i, st.issued);
           res_b.SetTo(i, st.resolved);
@@ -268,6 +379,22 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         }
         if (fault_stall[static_cast<std::size_t>(i)] > 0) stall_b.Set(i);
       }
+      RestorePackedArgs(d, args_at, stale_b);
+      for (int i = 0; i < n; ++i) {
+        if (stations[static_cast<std::size_t>(i)].valid) {
+          args_written(i, false);
+        }
+      }
+    }
+    if (!d.AtEnd()) {
+      throw persist::FormatError("trailing checkpoint bytes");
+    }
+    start_cycle = ckpt.resume()->header.cycle;
+  }
+  if (incremental) {
+    dp_state.emplace(n, L);
+    for (int r = 0; r < L; ++r) {
+      dp_state->SetCommitted(r, committed[static_cast<std::size_t>(r)]);
     }
   }
 
@@ -282,72 +409,35 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     tel.OnCycle(cycle, count);
 
     // --- Phase 1: combinational propagation (end-of-last-cycle state). ---
-    if (fast) {
+    if (packed) {
       // Event-driven delivery: re-resolve only stations whose argument
       // source changed since the last cycle (writer result movement, a
       // commit touching their register, a squash, their own fill, or the
       // head advancing onto them). Stations are untouched since the end of
       // the previous cycle, so this drain sees exactly the snapshot the
-      // incremental path's phase-1 propagation would have delivered.
-      ForEachSetBit(stale_b, [&](int i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        datapath::ResolvedArgs args;
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
-          if (i == head) return committed[r];  // Oldest reads the file.
-          const int j = wmap.NearestWriterBefore(i, r, head);
-          return j >= 0 ? stations[static_cast<std::size_t>(j)].result
-                        : committed[r];
-        };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-        if (fwd) mw_stale_b.Set(i);
-      });
-      stale_b.ClearAll();
-    } else if (packed) {
-      // Word-accumulator composition: invalid lanes are all-zero (their
-      // class bits being clear makes every derived condition vacuous).
-      std::uint64_t av = 0, af = 0, ai = 0, ar = 0, am = 0, al = 0, as = 0,
-                    ac = 0, aa = 0, an = 0;
-      for (int i = 0; i < n; ++i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (st.valid) {
-          const std::uint64_t bit = 1ULL << (i & 63);
-          av |= bit;
-          if (st.finished) af |= bit;
-          if (st.issued) ai |= bit;
-          if (st.resolved) ar |= bit;
-          if (st.mem_submitted) am |= bit;
-          const isa::Opcode op = st.inst().op;
-          if (op == isa::Opcode::kLoad) {
-            al |= bit;
-          } else if (op == isa::Opcode::kStore) {
-            as |= bit;
-          } else {
-            aa |= bit;
-          }
-          if (isa::IsControlFlow(op)) ac |= bit;
-          if (NeedsAlu(op)) an |= bit;
-        }
-        if ((i & 63) == 63 || i == n - 1) {
-          const int w = i >> 6;
-          valid_b.word(w) = av;
-          fin_b.word(w) = af;
-          iss_b.word(w) = ai;
-          res_b.word(w) = ar;
-          msub_b.word(w) = am;
-          ld_b.word(w) = al;
-          stb_b.word(w) = as;
-          cf_b.word(w) = ac;
-          alu_like_b.word(w) = aa;
-          needs_alu_b.word(w) = an;
-          av = af = ai = ar = am = al = as = ac = aa = an = 0;
-        }
+      // ring propagation would deliver. Pipelined delivery re-resolves
+      // every station in phase 3a instead.
+      if (!pipelined) {
+        ForEachSetBit(stale_b, [&](int i) {
+          const Station& st = stations[static_cast<std::size_t>(i)];
+          if (!st.valid) return;
+          const isa::Instruction& inst = st.inst();
+          datapath::ResolvedArgs args;
+          const auto read = [&](isa::RegId r) -> datapath::RegBinding {
+            if (i == head) return committed[r];  // Oldest reads the file.
+            const int j = wmap.NearestWriterBefore(i, r, head);
+            return j >= 0 ? stations[static_cast<std::size_t>(j)].result
+                          : committed[r];
+          };
+          if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
+          if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
+          args_at[static_cast<std::size_t>(i)] = args;
+          args_written(i, true);
+        });
+        // --- Phase 1b: fault injection + self-checking. ---
+        inject_and_check(cycle);
       }
+      stale_b.ClearAll();
     } else {
       for (int i = 0; i < n; ++i) {
         const Station& st = stations[static_cast<std::size_t>(i)];
@@ -358,78 +448,21 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         branch_ok[static_cast<std::size_t>(i)] =
             !st.valid || !isa::IsControlFlow(st.inst().op) || st.resolved;
       }
-    }
-    if (maintain_dp) {
-      // Diff the window into the persistent state; commits already pushed
-      // their register updates in phase 4 of the previous cycle.
-      dp_state.SetOldest(head);
-      for (int i = 0; i < n; ++i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        const bool writes = st.valid && isa::WritesRd(st.inst().op);
-        dp_state.SetStationWrite(i, writes, writes ? st.inst().rd : 0,
-                                 st.result);
-      }
-      dp.PropagateIncremental(dp_state);
-    } else if (!incremental) {
-      std::fill(modified.begin(), modified.end(), 0);
-      for (auto& b : outgoing) b = datapath::RegBinding{};
-      for (int r = 0; r < L; ++r) {
-        outgoing[static_cast<std::size_t>(head) * L + r] =
-            committed[static_cast<std::size_t>(r)];
-      }
-      for (int i = 0; i < n; ++i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (st.valid && isa::WritesRd(st.inst().op)) {
-          const std::size_t idx =
-              static_cast<std::size_t>(i) * L + st.inst().rd;
-          outgoing[idx] = st.result;
-          modified[idx] = 1;
-        }
-      }
-      incoming = dp.Propagate(outgoing, modified, head);
-    }
-
-    // --- Phase 1b: fault injection + self-checking (before any station
-    // reads the delivered values this cycle). ---
-    if (injector.active()) {
-      injector.BeginCycle(cycle);
-      injector.ApplyDatapathFaults(dp_state);
-      tel.OnFaults(cycle, injector.pending());
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind == fault::FaultKind::kStallStation) {
-          fault_stall[static_cast<std::size_t>(e.station % n)] +=
-              static_cast<int>(e.payload % 8) + 1;
-          if (packed) stall_b.Set(e.station % n);
-          injector.NoteStall();
-        }
-      }
-    }
-    if (checked && checker.Due(cycle, injector.HasHazardousPending())) {
-      checker.RecordCheck();
-      tel.OnCheckerCheck(cycle);
-      // Snapshot the (possibly corrupted) delivery buffer, rebuild it from
-      // the inputs, and diff. The rebuild is itself the resync, so a
-      // detected divergence costs nothing extra to repair.
-      for (int r = 0; r < L; ++r) {
-        for (int i = 0; i < n; ++i) {
-          check_snapshot[static_cast<std::size_t>(r) * n + i] =
-              dp_state.incoming(i, r);
-        }
-      }
-      dp_state.MarkAllDirty();
-      dp.PropagateIncremental(dp_state);
-      std::uint64_t mismatched = 0;
-      for (int r = 0; r < L; ++r) {
-        for (int i = 0; i < n; ++i) {
-          if (check_snapshot[static_cast<std::size_t>(r) * n + i] !=
-              dp_state.incoming(i, r)) {
-            ++mismatched;
+      if (!pipelined) {  // Pipelined reads never consult the ring.
+        if (incremental) {
+          // Diff the window into the persistent state; commits already
+          // pushed their register updates in phase 4 of the last cycle.
+          dp_state->SetOldest(head);
+          for (int i = 0; i < n; ++i) {
+            const Station& st = stations[static_cast<std::size_t>(i)];
+            const bool writes = st.valid && isa::WritesRd(st.inst().op);
+            dp_state->SetStationWrite(i, writes, writes ? st.inst().rd : 0,
+                                      st.result);
           }
+          dp.PropagateIncremental(*dp_state);
+        } else {
+          propagate_full();
         }
-      }
-      if (mismatched > 0) {
-        checker.RecordDivergence(cycle, mismatched);
-        tel.OnCheckerResync(cycle, mismatched);
       }
     }
 
@@ -472,11 +505,11 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       if (st.valid && st.generation == tag.generation) {
         const bool was_finished = st.finished;
         ApplyMemResponse(st, resp, cycle);
-        if (packed) fin_b.Set(static_cast<int>(tag.tag));
-        if (fast) {
+        if (packed) {
           // The load's result binding just became ready: its readers
-          // re-resolve at the next phase-1 drain, exactly when the
-          // incremental propagation would deliver the new value.
+          // re-resolve at the next phase-1 drain, exactly when the ring
+          // propagation would deliver the new value.
+          fin_b.Set(static_cast<int>(tag.tag));
           if (isa::WritesRd(st.inst().op)) {
             mark_result_change(static_cast<int>(tag.tag), st.inst().rd);
           }
@@ -488,11 +521,27 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
 
     // --- Phase 3a: resolve arguments and schedule shared resources. ---
     const int live = count;
-    if (fast) {
-      // Arguments were refreshed by the phase-1 stale drain. Refresh the
-      // memory-window entries whose station or arguments moved -- after
-      // phase 2, which is when the incremental path builds its window, so
-      // this cycle's memory completions are visible to disambiguation.
+    if (packed) {
+      // Non-pipelined arguments were refreshed by the phase-1 drain. The
+      // pipelined sweep re-resolves every live station here, after phase 2
+      // like the byte-lane loop, then injects and checks.
+      if (track_writers) {
+        sweep([&](int k, int i, const Station& st) {
+          if (tel.metrics_on()) record_distances(k, i, st);
+          if (!pipelined) return;
+          const datapath::ResolvedArgs args = resolve(k, i, st, cycle);
+          datapath::ResolvedArgs& cached =
+              args_at[static_cast<std::size_t>(i)];
+          const bool moved = args != cached;
+          cached = args;
+          args_written(i, moved);
+        });
+      }
+      if (pipelined) inject_and_check(cycle);
+      // Refresh the memory-window entries whose station or arguments moved
+      // -- after phase 2, which is when the byte-lane loop builds its
+      // window, so this cycle's memory completions are visible to
+      // disambiguation.
       if (fwd) {
         ForEachSetBit(mw_stale_b, [&](int i) {
           mem_window_pos[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
@@ -501,92 +550,18 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         });
         mw_stale_b.ClearAll();
       }
-      if (tel.metrics_on()) {
-        // Propagation-distance sweep: position bookkeeping only (no
-        // argument resolution), replicating the OnDistance calls the
-        // incremental resolve sweep makes, in the same order.
-        std::fill(last_writer.begin(), last_writer.end(), -1);
-        for (int k = 0; k < live; ++k) {
-          const int i = (head + k) % n;
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid) continue;
-          const isa::Instruction& inst = st.inst();
-          const auto dist = [&](isa::RegId r) {
-            const int j =
-                k == 0 ? head : last_writer[static_cast<std::size_t>(r)];
-            tel.OnDistance(j >= 0 ? (i - j + n) % n : (i - head + n) % n);
-          };
-          if (isa::ReadsRs1(inst.op)) dist(inst.rs1);
-          if (isa::ReadsRs2(inst.op)) dist(inst.rs2);
-          if (isa::WritesRd(inst.op)) {
-            last_writer[static_cast<std::size_t>(inst.rd)] = i;
-          }
-        }
-      }
     } else {
-    std::fill(args_at.begin(), args_at.end(), datapath::ResolvedArgs{});
-    mem_window.assign(static_cast<std::size_t>(live), core::MemWindowEntry{});
-    if (track_writers) std::fill(last_writer.begin(), last_writer.end(), -1);
-    for (int k = 0; k < live; ++k) {
-      const int i = (head + k) % n;
-      const Station& st = stations[static_cast<std::size_t>(i)];
-      if (!st.valid) continue;
-      const isa::Instruction& inst = st.inst();
-      datapath::ResolvedArgs args;
-      // The oldest station ignores the ring and reads the committed file.
-      const auto read = [&](isa::RegId r) -> datapath::RegBinding {
-        if (tel.metrics_on()) {
-          // Ring distance from the value's source: the nearest preceding
-          // writer, or the committed file at the oldest station.
-          const int j =
-              k == 0 ? head : last_writer[static_cast<std::size_t>(r)];
-          tel.OnDistance(j >= 0 ? (i - j + n) % n : (i - head + n) % n);
+      std::fill(args_at.begin(), args_at.end(), datapath::ResolvedArgs{});
+      mem_window.assign(static_cast<std::size_t>(live), core::MemWindowEntry{});
+      sweep([&](int k, int i, const Station& st) {
+        if (tel.metrics_on()) record_distances(k, i, st);
+        const datapath::ResolvedArgs args = resolve(k, i, st, cycle);
+        args_at[static_cast<std::size_t>(i)] = args;
+        if (fwd) {
+          mem_window[static_cast<std::size_t>(k)] =
+              MakeMemWindowEntry(st, args);
         }
-        if (k == 0) return committed[r];
-        if (!pipelined) {
-          return incremental
-                     ? dp_state.incoming(i, r)
-                     : incoming[static_cast<std::size_t>(i) * L + r];
-        }
-        // Pipelined datapath: the nearest preceding writer (tracked per
-        // register by the program-order sweep) plus the distance-dependent
-        // latch latency.
-        const int j = last_writer[static_cast<std::size_t>(r)];
-        if (j >= 0) {
-          const Station& w = stations[static_cast<std::size_t>(j)];
-          if (!w.finished) return {w.result.value, false};
-          const int lat =
-              PipeCycles(j, i, config_.pipeline_levels_per_stage);
-          if (cycle >= w.timing.complete_cycle +
-                           static_cast<std::uint64_t>(lat)) {
-            return w.result;
-          }
-          return {w.result.value, false};  // Still in flight on the tree.
-        }
-        // Committed-file read: the file lives in the oldest station, so the
-        // value still crosses the tree from there.
-        const int lat =
-            PipeCycles(head, i, config_.pipeline_levels_per_stage);
-        if (cycle >= committed_at[r] + static_cast<std::uint64_t>(lat)) {
-          return committed[r];
-        }
-        return {committed[r].value, false};
-      };
-      if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
-      if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
-      args_at[static_cast<std::size_t>(i)] = args;
-      if (packed) {
-        argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-      }
-      if (track_writers && isa::WritesRd(inst.op)) {
-        last_writer[static_cast<std::size_t>(inst.rd)] = i;
-      }
-      if (config_.store_forwarding) {
-        mem_window[static_cast<std::size_t>(k)] =
-            MakeMemWindowEntry(st, args);
-      }
-    }
+      });
     }
     if (config_.num_alus > 0) {
       if (packed) {
@@ -620,11 +595,11 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     if (packed) {
       // Visit only stations whose StepStation call would act (the mask
       // mirrors its no-op predicate exactly, so skipping is identical),
-      // plus stations serving an injected stall, which must decrement
-      // their counters in walk order like the scalar loop's skip does.
-      // With store forwarding on, a load's gate is its disambiguation
-      // decision rather than the prev-stores-done prefix, so the load term
-      // drops psd (an undecidable load is visited and no-ops).
+      // plus stations serving an injected stall, which sit the cycle out
+      // and count it down. With store forwarding on, a load's gate is its
+      // disambiguation decision rather than the prev-stores-done prefix,
+      // so the load term drops psd (an undecidable load is visited and
+      // no-ops).
       int pos = head;
       int processed = 0;
       bool squashed = false;
@@ -667,27 +642,17 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
           ctx.committed_ok = pcf_b.Test(i);
           ctx.alu_granted = config_.num_alus == 0 || grant_b.Test(i);
           ctx.forwarding_enabled = fwd;
-          if (fwd && st.inst().op == isa::Opcode::kLoad) {
-            const MemWindowEntry& self =
-                fast ? mem_window_pos[static_cast<std::size_t>(i)]
-                     : mem_window[static_cast<std::size_t>(k)];
-            if (self.addr_known) {
-              const auto decision =
-                  fast ? ResolveLoadForwardingMapped(
-                             [&](std::size_t a) -> const MemWindowEntry& {
-                               return mem_window_pos[static_cast<std::size_t>(
-                                   (head + static_cast<int>(a)) % n)];
-                             },
-                             static_cast<std::size_t>(k))
-                       : ResolveLoadForwarding(
-                             std::span<const MemWindowEntry>(
-                                 mem_window.data(),
-                                 static_cast<std::size_t>(live)),
-                             static_cast<std::size_t>(k));
-              ctx.load_can_proceed = decision.can_proceed;
-              ctx.load_forward = decision.forward;
-              ctx.forward_value = decision.value;
-            }
+          if (fwd && st.inst().op == isa::Opcode::kLoad &&
+              mem_window_pos[static_cast<std::size_t>(i)].addr_known) {
+            const auto decision = ResolveLoadForwardingMapped(
+                [&](std::size_t a) -> const MemWindowEntry& {
+                  return mem_window_pos[static_cast<std::size_t>(
+                      (head + static_cast<int>(a)) % n)];
+                },
+                static_cast<std::size_t>(k));
+            ctx.load_can_proceed = decision.can_proceed;
+            ctx.load_forward = decision.forward;
+            ctx.forward_value = decision.value;
           }
           const bool was_issued = st.issued;
           const bool was_finished = st.finished;
@@ -698,16 +663,14 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
                           static_cast<std::uint64_t>(i), inflight,
                           result.stats);
           tel.OnStep(cycle, i, st, was_issued, was_finished);
-          if (fast) {
-            iss_b.SetTo(i, st.issued);
-            fin_b.SetTo(i, st.finished);
-            res_b.SetTo(i, st.resolved);
-            msub_b.SetTo(i, st.mem_submitted);
-            if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-              mark_result_change(i, st.inst().rd);
-            }
-            if (fwd) mw_stale_b.Set(i);
+          iss_b.SetTo(i, st.issued);
+          fin_b.SetTo(i, st.finished);
+          res_b.SetTo(i, st.resolved);
+          msub_b.SetTo(i, st.mem_submitted);
+          if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
+            mark_result_change(i, st.inst().rd);
           }
+          if (fwd) mw_stale_b.Set(i);
           if (mispredicted) {
             ++result.stats.mispredictions;
             for (int m = k + 1; m < count; ++m) {
@@ -716,7 +679,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
               if (victim.valid) {
                 ++result.stats.squashed_instructions;
                 tel.OnSquash(cycle, vi, victim);
-                if (fast) fast_clear_slot(vi, victim);
+                packed_clear_slot(vi, victim);
                 victim.Clear();
                 ++victim.generation;
               }
@@ -736,10 +699,6 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       const int i = (head + k) % n;
       Station& st = stations[static_cast<std::size_t>(i)];
       if (!st.valid) continue;  // Squashed earlier this cycle.
-      if (fault_stall[static_cast<std::size_t>(i)] > 0) {
-        --fault_stall[static_cast<std::size_t>(i)];
-        continue;  // Injected stall: the station sits out this cycle.
-      }
       const datapath::ResolvedArgs& args =
           args_at[static_cast<std::size_t>(i)];
       StepContext ctx;
@@ -820,6 +779,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
             ++result.stats.squashed_instructions;
             ++result.stats.fault.squashes;
             tel.OnSquash(cycle, vi, victim);
+            packed_clear_slot(vi, victim);
             victim.Clear();
             ++victim.generation;
           }
@@ -841,11 +801,11 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         assert(st.result.ready);
         committed[inst.rd] = st.result;
         committed_at[inst.rd] = cycle;
-        if (maintain_dp) dp_state.SetCommitted(inst.rd, st.result);
+        if (incremental) dp_state->SetCommitted(inst.rd, st.result);
         // The committed file changed: only the stations between the head
         // and the first in-flight writer of rd resolve against it (younger
         // readers bind to that writer), so only that span re-resolves.
-        if (fast) {
+        if (packed) {
           const int nw =
               wmap.NearestWriterAfter(head, static_cast<int>(inst.rd), head);
           wmap.OrReadersInCyclicRange(static_cast<int>(inst.rd),
@@ -860,7 +820,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       ++result.committed;
       tel.OnCommit(cycle, head, st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
-      if (fast) fast_clear_slot(head, st);
+      if (packed) packed_clear_slot(head, st);
       st.Clear();
       head = (head + 1) % n;
       head_moved = true;
@@ -873,7 +833,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     }
     // The station now at the head reads the committed file directly, a
     // different source than the ring resolution its cached args used.
-    if (fast && head_moved && count > 0) stale_b.Set(head);
+    if (packed && head_moved && count > 0) stale_b.Set(head);
 
     // --- Phase 5: fetch into freed slots. ---
     if (!done) {
@@ -890,8 +850,8 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
                     cycle);
         stations[static_cast<std::size_t>(slot)].timing.station = slot;
         tel.OnFetch(cycle, slot, stations[static_cast<std::size_t>(slot)]);
-        if (fast) {
-          fast_fill_slot(slot, stations[static_cast<std::size_t>(slot)]);
+        if (packed) {
+          packed_fill_slot(slot, stations[static_cast<std::size_t>(slot)]);
         }
         ++count;
       }

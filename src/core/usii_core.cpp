@@ -54,25 +54,21 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
   RunResult result;
   bool done = false;
 
-  // Checked mode runs the incremental machinery plus the cross-validation
-  // below, so everything keyed on `incremental` applies to it too.
-  const bool incremental =
-      config_.datapath_eval != DatapathEval::kFullRecompute;
+  // Evaluation modes. kPacked and kChecked share one word-parallel cycle
+  // loop: sequencing flags, acyclic prefixes, ALU grants and the execute
+  // phase's visit set evaluate 64 stations per word op, and argument
+  // delivery is event-driven -- each slot's resolved arguments are cached
+  // and re-resolved, over per-register writer/reader rows, only when their
+  // source changes. kChecked adds the DatapathChecker. kIncremental and
+  // kFullRecompute run the byte-lane loop over the mesh propagation.
+  const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
+                      config_.datapath_eval == DatapathEval::kChecked;
   const bool checked = config_.datapath_eval == DatapathEval::kChecked;
-  // Word-parallel packed mode: sequencing flags, acyclic prefixes, ALU
-  // grants, and the execute phase's visit set evaluate 64 stations per
-  // word op. kPacked always runs the packed cycle loop; the `fast` tier
-  // additionally replaces the per-cycle request/propagation rebuild with
-  // event-driven argument resolution over per-register writer/reader rows.
-  // Fault plans keep the propagation machinery underneath the packed walk
-  // (corruptions live inside `prop`), but never change the executed loop.
-  const bool packed = config_.datapath_eval == DatapathEval::kPacked;
-  const bool fast = packed && config_.fault_plan == nullptr;
-  const bool maintain_prop = incremental && !fast;
+  const bool incremental =
+      config_.datapath_eval == DatapathEval::kIncremental;
 
   fault::FaultInjector injector(config_.fault_plan.get());
   fault::DatapathChecker checker(config_.checker_stride);
-  datapath::UsiiPropagation check_prop;  // Checked-mode recompute target.
   std::vector<int> fault_stall(static_cast<std::size_t>(n), 0);
 
   CoreTelemetry tel(config_);
@@ -85,7 +81,9 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> no_load(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> branch_ok(static_cast<std::size_t>(n));
   // Per-cycle scratch, hoisted out of the loop so the hot path does not
-  // touch the allocator (capacity is reused across cycles).
+  // touch the allocator (capacity is reused across cycles). The
+  // incremental path memoizes prop: it is a pure function of (regfile,
+  // requests), so a restore simply recomputes it.
   datapath::UsiiPropagation prop;  // Reused output buffer.
   bool prop_valid = false;   // prop matches the current (regfile, requests).
   bool regfile_changed = true;
@@ -97,12 +95,19 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> alu_grant;
   std::vector<FetchedInstr> fetch_batch;
 
-  // Packed per-cycle scratch (kPacked only): recomposed from the stations
-  // every cycle, so it is derived state and never checkpointed.
+  // Packed state (kPacked/kChecked only): flag masks, the writer/reader
+  // rows that answer "whose value does slot i read?", the cached resolved
+  // arguments per batch slot, and a slot-indexed memory window (batch
+  // position IS age order here, so the span-based forwarding walk reads it
+  // directly). Everything but the cached arguments and the stale set is
+  // derived from the stations and rebuilt on restore.
   const int pw = datapath::PackedWordCount(n);
   datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
       cf_b, alu_like_b, needs_alu_b, argr_b, cond_b, psd_b, pld_b, pcf_b,
       req_b, grant_b, stall_b, stale_b, mw_stale_b;
+  datapath::PackedWriterMap wmap;
+  std::vector<datapath::ResolvedArgs> args_at;
+  std::vector<MemWindowEntry> mem_window_pos;
   if (packed) {
     for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
                     &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &cond_b,
@@ -110,24 +115,15 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
                     &stale_b, &mw_stale_b}) {
       p->Assign(n);
     }
-  }
-  // Fast-tier state: cached resolved arguments per batch slot, the
-  // writer/reader rows that answer "whose value does slot i read?", and a
-  // slot-indexed memory window (batch position IS age order here, so the
-  // span-based forwarding walk reads it directly).
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_pos;
-  if (fast) {
     wmap.Assign(n, L);
     args_at.resize(static_cast<std::size_t>(n));
     mem_window_pos.resize(static_cast<std::size_t>(n));
   }
   const bool fwd = config_.store_forwarding;
 
-  // Fast-tier event helpers; clearing must run while the station still
-  // holds its instruction (rows are keyed by its register fields).
-  const auto fast_clear_slot = [&](int i, const Station& st) {
+  // Packed event helpers; clearing must run while the station still holds
+  // its instruction (rows are keyed by its register fields).
+  const auto packed_clear_slot = [&](int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     if (isa::WritesRd(inst.op)) wmap.ClearWriter(i, inst.rd);
     if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
@@ -140,7 +136,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
     if (fwd) mem_window_pos[static_cast<std::size_t>(i)] = MemWindowEntry{};
   };
-  const auto fast_fill_slot = [&](int i, const Station& st) {
+  const auto packed_fill_slot = [&](int i, const Station& st) {
     const isa::Instruction& inst = st.inst();
     valid_b.Set(i);
     const isa::Opcode op = inst.op;
@@ -169,6 +165,68 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     wmap.OrReadersInCyclicRange(static_cast<int>(r), j + 1,
                                 nw >= 0 ? nw + 1 : 0, stale_b);
   };
+  // Slot @p i's cached arguments were (re)written: refresh its readiness
+  // lane, and its memory-window entry when they @p moved.
+  const auto args_written = [&](int i, bool moved) {
+    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
+    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
+    argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
+                        (!isa::ReadsRs2(inst.op) || args.arg2.ready));
+    if (fwd && moved) mw_stale_b.Set(i);
+  };
+  // Fault injection and self-checking (packed loop only), once the cycle's
+  // arguments are final and before the batch latch or any station reads
+  // them.
+  const auto inject_and_check = [&](std::uint64_t cycle) {
+    if (injector.active()) {
+      injector.BeginCycle(cycle);
+      injector.ApplyDatapathFaults(args_at);
+      tel.OnFaults(cycle, injector.pending());
+      for (const fault::FaultEvent& e : injector.pending()) {
+        const int i = e.station % n;
+        if (e.kind == fault::FaultKind::kStallStation) {
+          fault_stall[static_cast<std::size_t>(i)] +=
+              static_cast<int>(e.payload % 8) + 1;
+          stall_b.Set(i);
+          injector.NoteStall();
+        } else if (fault::TargetsDatapath(e.kind) &&
+                   stations[static_cast<std::size_t>(i)].valid) {
+          args_written(i, true);
+        }
+      }
+    }
+    if (!checked || !checker.Due(cycle, injector.HasHazardousPending())) {
+      return;
+    }
+    checker.RecordCheck();
+    tel.OnCheckerCheck(cycle);
+    // Recompute every slot's arguments with the full mesh propagation and
+    // overwrite the cached ones that differ.
+    for (int i = 0; i < n; ++i) {
+      requests[static_cast<std::size_t>(i)] =
+          MakeRequest(stations[static_cast<std::size_t>(i)]);
+    }
+    dp.PropagateInto(regfile, requests, prop);
+    std::uint64_t mismatched = 0;
+    for (int i = 0; i < fill; ++i) {
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      if (!st.valid) continue;
+      const datapath::ResolvedArgs& full =
+          prop.args[static_cast<std::size_t>(i)];
+      datapath::ResolvedArgs truth;
+      if (isa::ReadsRs1(st.inst().op)) truth.arg1 = full.arg1;
+      if (isa::ReadsRs2(st.inst().op)) truth.arg2 = full.arg2;
+      datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
+      if (seen == truth) continue;
+      mismatched += (seen.arg1 != truth.arg1) + (seen.arg2 != truth.arg2);
+      seen = truth;
+      args_written(i, true);
+    }
+    if (mismatched > 0) {
+      checker.RecordDivergence(cycle, mismatched);
+      tel.OnCheckerResync(cycle, mismatched);
+    }
+  };
 
   CheckpointSession ckpt(config_, ProcessorKind::kUltrascalarII, program);
   const auto save_state = [&](persist::Encoder& e) {
@@ -179,21 +237,12 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     SaveInflight(e, inflight);
     SavePartialResult(e, result);
     for (const int s : fault_stall) e.I32(s);
-    for (const auto& req : requests) datapath::Save(e, req);
-    // The memoized propagation (prop/prop_valid/regfile_changed) is reused
-    // across cycles when valid, so it is machine state, not scratch: a live
-    // fault corruption can sit in `prop` until the inputs next change.
-    e.Bool(prop_valid);
-    e.Bool(regfile_changed);
-    e.U32(static_cast<std::uint32_t>(prop.args.size()));
-    for (const auto& a : prop.args) datapath::Save(e, a);
-    e.U32(static_cast<std::uint32_t>(prop.final_regs.size()));
-    for (const auto& b : prop.final_regs) datapath::Save(e, b);
     injector.SaveState(e);
     checker.SaveState(e);
     fetch.SaveState(e);
     mem.SaveState(e);
     SaveTelemetrySlots(e, config_);
+    if (packed) SavePackedArgs(e, args_at, stale_b);
   };
   std::uint64_t start_cycle = 0;
   if (ckpt.resume() != nullptr) {
@@ -205,39 +254,36 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     RestoreInflight(d, inflight);
     RestorePartialResult(d, result);
     for (int& s : fault_stall) s = d.I32();
-    for (auto& req : requests) datapath::Restore(d, req);
-    prop_valid = d.Bool();
-    regfile_changed = d.Bool();
-    prop.args.resize(d.U32());
-    for (auto& a : prop.args) datapath::Restore(d, a);
-    prop.final_regs.resize(d.U32());
-    for (auto& b : prop.final_regs) datapath::Restore(d, b);
     injector.RestoreState(d);
     checker.RestoreState(d);
     fetch.RestoreState(d);
     mem.RestoreState(d);
     RestoreTelemetrySlots(d, config_);
-    if (!d.AtEnd()) {
-      throw persist::FormatError("trailing checkpoint bytes");
-    }
-    start_cycle = ckpt.resume()->header.cycle;
     if (packed) {
-      // Rebuild the derived packed shadow from the restored stations. The
-      // fast tier's cached arguments are a pure function of (stations,
-      // regfile), so marking every live slot stale makes the first phase-1
-      // drain recompute exactly the values the uninterrupted run carried.
+      // Rebuild the derived packed state from the restored stations, then
+      // take the cached arguments and the stale set verbatim.
       for (int i = 0; i < n; ++i) {
         if (fault_stall[static_cast<std::size_t>(i)] > 0) stall_b.Set(i);
         const Station& st = stations[static_cast<std::size_t>(i)];
-        if (fast && st.valid) {
-          fast_fill_slot(i, st);
+        if (st.valid) {
+          packed_fill_slot(i, st);
           fin_b.SetTo(i, st.finished);
           iss_b.SetTo(i, st.issued);
           res_b.SetTo(i, st.resolved);
           msub_b.SetTo(i, st.mem_submitted);
         }
       }
+      RestorePackedArgs(d, args_at, stale_b);
+      for (int i = 0; i < n; ++i) {
+        if (stations[static_cast<std::size_t>(i)].valid) {
+          args_written(i, false);
+        }
+      }
     }
+    if (!d.AtEnd()) {
+      throw persist::FormatError("trailing checkpoint bytes");
+    }
+    start_cycle = ckpt.resume()->header.cycle;
   }
 
   for (std::uint64_t cycle = start_cycle; cycle < config_.max_cycles && !done;
@@ -254,11 +300,27 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     // both against end-of-last-cycle state. ---
     bool all_finished = true;
     bool any_valid = false;
-    bool requests_changed = false;
     if (tel.metrics_on()) {
       std::fill(last_writer.begin(), last_writer.end(), -1);
     }
-    if (fast) {
+    // Grid distance to each operand's source: rows crossed from the nearest
+    // preceding writer, or from the register file (one row above the
+    // batch) when no station in the batch writes it.
+    const auto record_distances = [&](int i, const Station& st) {
+      const isa::Instruction& inst = st.inst();
+      if (isa::ReadsRs1(inst.op)) {
+        const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
+        tel.OnDistance(j >= 0 ? i - j : i + 1);
+      }
+      if (isa::ReadsRs2(inst.op)) {
+        const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
+        tel.OnDistance(j >= 0 ? i - j : i + 1);
+      }
+      if (isa::WritesRd(inst.op)) {
+        last_writer[static_cast<std::size_t>(inst.rd)] = i;
+      }
+    };
+    if (packed) {
       // Event-driven delivery: the masks carry end-of-last-cycle state, so
       // batch completion is a word scan and only slots whose argument
       // source changed since the last cycle re-resolve.
@@ -268,23 +330,9 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         if ((v & ~fin_b.word(w)) != 0) all_finished = false;
       }
       if (tel.metrics_on()) {
-        // Grid-distance sweep, replicating the incremental loop's
-        // OnDistance calls in the same order (batch positions ascending).
         for (int i = 0; i < fill; ++i) {
           const Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid) continue;
-          const isa::Instruction& inst = st.inst();
-          if (isa::ReadsRs1(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
-            tel.OnDistance(j >= 0 ? i - j : i + 1);
-          }
-          if (isa::ReadsRs2(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
-            tel.OnDistance(j >= 0 ? i - j : i + 1);
-          }
-          if (isa::WritesRd(inst.op)) {
-            last_writer[static_cast<std::size_t>(inst.rd)] = i;
-          }
+          if (st.valid) record_distances(i, st);
         }
       }
       ForEachSetBit(stale_b, [&](int i) {
@@ -295,88 +343,34 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         // The nearest preceding writer's binding, verbatim (ready or not);
         // slot 0 and readers with no in-batch writer take the register
         // file, exactly what the mesh-of-trees propagation delivers.
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
+        const auto read = [&](isa::RegId r) -> datapath::RegBinding {
           const int j =
               wmap.NearestWriterBeforeAcyclic(i, static_cast<int>(r));
           return j >= 0 ? stations[static_cast<std::size_t>(j)].result
                         : regfile[r];
         };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
+        if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
+        if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
         args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-        if (fwd) mw_stale_b.Set(i);
+        args_written(i, true);
       });
       stale_b.ClearAll();
+      // --- Phase 1b: fault injection + self-checking. ---
+      inject_and_check(cycle);
     } else {
-    // Word accumulators for the packed composition: one bit per station,
-    // flushed every 64 lanes. Invalid lanes stay all-zero, which keeps every
-    // derived condition vacuous.
-    std::uint64_t av = 0, af = 0, ai = 0, ar = 0, am = 0, al = 0, as = 0,
-                  ac = 0, aa = 0, an = 0;
-    for (int i = 0; i < n; ++i) {
-      const Station& st = stations[static_cast<std::size_t>(i)];
-      datapath::StationRequest req = MakeRequest(st);
-      if (req != requests[static_cast<std::size_t>(i)]) {
-        requests[static_cast<std::size_t>(i)] = req;
-        requests_changed = true;
-      }
-      if (tel.metrics_on() && st.valid) {
-        // Grid distance to each operand's source: rows crossed from the
-        // nearest preceding writer, or from the register file (one row
-        // above the batch) when no station in the batch writes it.
-        const isa::Instruction& inst = st.inst();
-        if (isa::ReadsRs1(inst.op)) {
-          const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
-          tel.OnDistance(j >= 0 ? i - j : i + 1);
+      bool requests_changed = false;
+      for (int i = 0; i < n; ++i) {
+        const Station& st = stations[static_cast<std::size_t>(i)];
+        datapath::StationRequest req = MakeRequest(st);
+        if (req != requests[static_cast<std::size_t>(i)]) {
+          requests[static_cast<std::size_t>(i)] = req;
+          requests_changed = true;
         }
-        if (isa::ReadsRs2(inst.op)) {
-          const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
-          tel.OnDistance(j >= 0 ? i - j : i + 1);
-        }
-        if (isa::WritesRd(inst.op)) {
-          last_writer[static_cast<std::size_t>(inst.rd)] = i;
-        }
-      }
-      if (st.valid) {
-        any_valid = true;
-        if (!st.finished) all_finished = false;
-      }
-      if (packed) {
+        if (tel.metrics_on() && st.valid) record_distances(i, st);
         if (st.valid) {
-          const std::uint64_t bit = 1ULL << (i & 63);
-          av |= bit;
-          if (st.finished) af |= bit;
-          if (st.issued) ai |= bit;
-          if (st.resolved) ar |= bit;
-          if (st.mem_submitted) am |= bit;
-          const isa::Opcode op = st.inst().op;
-          if (op == isa::Opcode::kLoad) {
-            al |= bit;
-          } else if (op == isa::Opcode::kStore) {
-            as |= bit;
-          } else {
-            aa |= bit;
-          }
-          if (isa::IsControlFlow(op)) ac |= bit;
-          if (NeedsAlu(op)) an |= bit;
+          any_valid = true;
+          if (!st.finished) all_finished = false;
         }
-        if ((i & 63) == 63 || i == n - 1) {
-          const int w = i >> 6;
-          valid_b.word(w) = av;
-          fin_b.word(w) = af;
-          iss_b.word(w) = ai;
-          res_b.word(w) = ar;
-          msub_b.word(w) = am;
-          ld_b.word(w) = al;
-          stb_b.word(w) = as;
-          cf_b.word(w) = ac;
-          alu_like_b.word(w) = aa;
-          needs_alu_b.word(w) = an;
-          av = af = ai = ar = am = al = as = ac = aa = an = 0;
-        }
-      } else {
         const bool is_store = st.valid && st.inst().op == isa::Opcode::kStore;
         const bool is_load = st.valid && st.inst().op == isa::Opcode::kLoad;
         no_store[static_cast<std::size_t>(i)] = !is_store || st.finished;
@@ -384,57 +378,15 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         branch_ok[static_cast<std::size_t>(i)] =
             !st.valid || !isa::IsControlFlow(st.inst().op) || st.resolved;
       }
-    }
-    }
-    if (maintain_prop) {
-      // The whole propagation is a pure function of (regfile, requests):
-      // skip it when neither moved since the last evaluation (common while
-      // stations wait on long-latency operations).
-      if (!prop_valid || requests_changed || regfile_changed) {
+      if (!incremental) {
+        prop = dp.Propagate(regfile, requests);
+      } else if (!prop_valid || requests_changed || regfile_changed) {
+        // The whole propagation is a pure function of (regfile, requests):
+        // skip it when neither moved since the last evaluation (common
+        // while stations wait on long-latency operations).
         dp.PropagateInto(regfile, requests, prop);
         prop_valid = true;
         regfile_changed = false;
-      }
-    } else if (!incremental) {
-      prop = dp.Propagate(regfile, requests);
-    }
-
-    // --- Phase 1b: fault injection + self-checking, before the batch
-    // latch and before any station reads prop this cycle. ---
-    if (injector.active()) {
-      injector.BeginCycle(cycle);
-      injector.ApplyDatapathFaults(prop);
-      tel.OnFaults(cycle, injector.pending());
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind == fault::FaultKind::kStallStation) {
-          fault_stall[static_cast<std::size_t>(e.station % n)] +=
-              static_cast<int>(e.payload % 8) + 1;
-          if (packed) stall_b.Set(e.station % n);
-          injector.NoteStall();
-        }
-      }
-    }
-    if (checked && checker.Due(cycle, injector.HasHazardousPending())) {
-      checker.RecordCheck();
-      tel.OnCheckerCheck(cycle);
-      // Recompute the propagation from the (uncorruptible) inputs into the
-      // scratch buffer and diff against the live one; on divergence adopt
-      // the recomputed truth wholesale.
-      dp.PropagateInto(regfile, requests, check_prop);
-      std::uint64_t mismatched = 0;
-      for (std::size_t i = 0; i < prop.args.size(); ++i) {
-        if (prop.args[i].arg1 != check_prop.args[i].arg1) ++mismatched;
-        if (prop.args[i].arg2 != check_prop.args[i].arg2) ++mismatched;
-      }
-      for (std::size_t r = 0; r < prop.final_regs.size(); ++r) {
-        if (prop.final_regs[r] != check_prop.final_regs[r]) ++mismatched;
-      }
-      if (mismatched > 0) {
-        std::swap(prop.args, check_prop.args);
-        std::swap(prop.final_regs, check_prop.final_regs);
-        prop_valid = true;
-        checker.RecordDivergence(cycle, mismatched);
-        tel.OnCheckerResync(cycle, mismatched);
       }
     }
 
@@ -469,7 +421,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     const bool batch_complete =
         any_valid && all_finished && (fill == n || fetch.stalled());
     if (batch_complete) {
-      if (fast) {
+      if (packed) {
         // Each register's final value comes from its last in-batch writer;
         // unwritten registers keep their incoming file value, matching the
         // propagation's final row.
@@ -514,11 +466,10 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           ++st.generation;
         }
       }
-      if (fast) {
-        // The whole batch left at once: reset the shadow wholesale instead
-        // of slot-by-slot (stall_b survives -- pending injected stalls
-        // stick to the slot and hit its next occupant, and fast excludes
-        // fault plans anyway).
+      if (packed) {
+        // The whole batch left at once: reset the packed state wholesale
+        // instead of slot-by-slot. stall_b survives -- pending injected
+        // stalls stick to the slot and hit its next occupant.
         wmap.ClearAllRows();
         for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b,
                         &stb_b, &cf_b, &alu_like_b, &needs_alu_b, &argr_b,
@@ -540,11 +491,11 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
       if (st.valid && st.generation == tag.generation) {
         const bool was_finished = st.finished;
         ApplyMemResponse(st, resp, cycle);
-        if (packed) fin_b.Set(static_cast<int>(tag.tag));
-        if (fast) {
+        if (packed) {
           // The load's result binding just became ready: its readers
           // re-resolve at the next phase-1 drain, exactly when the
           // propagation would deliver the new value.
+          fin_b.Set(static_cast<int>(tag.tag));
           if (isa::WritesRd(st.inst().op)) {
             mark_result_change(static_cast<int>(tag.tag), st.inst().rd);
           }
@@ -556,27 +507,8 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
 
     // --- Phase 3: execute, in program order within the batch. ---
     if (!batch_complete && !done) {
-      if (packed && !fast) {
-        std::uint64_t ag = 0;
-        for (int i = 0; i < fill; ++i) {
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (st.valid) {
-            const isa::Instruction& inst = st.inst();
-            const datapath::ResolvedArgs& args =
-                prop.args[static_cast<std::size_t>(i)];
-            if ((!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                (!isa::ReadsRs2(inst.op) || args.arg2.ready)) {
-              ag |= 1ULL << (i & 63);
-            }
-          }
-          if ((i & 63) == 63 || i == fill - 1) {
-            argr_b.word(i >> 6) = ag;
-            ag = 0;
-          }
-        }
-      }
       if (fwd) {
-        if (fast) {
+        if (packed) {
           // Refresh only the window entries whose station or arguments
           // moved -- after phase 2, so this cycle's memory completions are
           // visible to disambiguation, as in the rebuilt window below.
@@ -627,11 +559,11 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
       if (packed) {
         // Visit only stations whose StepStation call would act (the mask
         // mirrors its no-op predicate exactly, so skipping is identical),
-        // plus stations serving an injected stall, which must decrement
-        // their counters in walk order like the scalar loop's skip does.
-        // With store forwarding on, a load's gate is its disambiguation
-        // decision rather than the prev-stores-done prefix, so the load
-        // term drops psd (an undecidable load is visited and no-ops).
+        // plus stations serving an injected stall, which sit the cycle out
+        // and count it down. With store forwarding on, a load's gate is its
+        // disambiguation decision rather than the prev-stores-done prefix,
+        // so the load term drops psd (an undecidable load is visited and
+        // no-ops).
         bool squashed = false;
         for (int w = 0; w < pw && !squashed; ++w) {
           const int base = w << 6;
@@ -663,45 +595,38 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
               continue;
             }
             Station& st = stations[static_cast<std::size_t>(i)];
-            const datapath::ResolvedArgs& args =
-                fast ? args_at[static_cast<std::size_t>(i)]
-                     : prop.args[static_cast<std::size_t>(i)];
             StepContext ctx;
             ctx.prev_stores_done = psd_b.Test(i);
             ctx.prev_loads_done = pld_b.Test(i);
             ctx.committed_ok = pcf_b.Test(i);
             ctx.alu_granted = config_.num_alus == 0 || grant_b.Test(i);
             ctx.forwarding_enabled = fwd;
-            if (fwd && st.inst().op == isa::Opcode::kLoad) {
-              const MemWindowEntry* win =
-                  fast ? mem_window_pos.data() : mem_window.data();
-              if (win[i].addr_known) {
-                const auto decision = ResolveLoadForwarding(
-                    std::span<const MemWindowEntry>(
-                        win, static_cast<std::size_t>(fill)),
-                    static_cast<std::size_t>(i));
-                ctx.load_can_proceed = decision.can_proceed;
-                ctx.load_forward = decision.forward;
-                ctx.forward_value = decision.value;
-              }
+            if (fwd && st.inst().op == isa::Opcode::kLoad &&
+                mem_window_pos[static_cast<std::size_t>(i)].addr_known) {
+              const auto decision = ResolveLoadForwarding(
+                  std::span<const MemWindowEntry>(
+                      mem_window_pos.data(), static_cast<std::size_t>(fill)),
+                  static_cast<std::size_t>(i));
+              ctx.load_can_proceed = decision.can_proceed;
+              ctx.load_forward = decision.forward;
+              ctx.forward_value = decision.value;
             }
             const bool was_issued = st.issued;
             const bool was_finished = st.finished;
             const datapath::RegBinding pre_result = st.result;
             const bool mispredicted = StepStation(
-                st, args, ctx, config_.latencies, mem, cycle, i,
+                st, args_at[static_cast<std::size_t>(i)], ctx,
+                config_.latencies, mem, cycle, i,
                 static_cast<std::uint64_t>(i), inflight, result.stats);
             tel.OnStep(cycle, i, st, was_issued, was_finished);
-            if (fast) {
-              iss_b.SetTo(i, st.issued);
-              fin_b.SetTo(i, st.finished);
-              res_b.SetTo(i, st.resolved);
-              msub_b.SetTo(i, st.mem_submitted);
-              if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-                mark_result_change(i, st.inst().rd);
-              }
-              if (fwd) mw_stale_b.Set(i);
+            iss_b.SetTo(i, st.issued);
+            fin_b.SetTo(i, st.finished);
+            res_b.SetTo(i, st.resolved);
+            msub_b.SetTo(i, st.mem_submitted);
+            if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
+              mark_result_change(i, st.inst().rd);
             }
+            if (fwd) mw_stale_b.Set(i);
             if (mispredicted) {
               ++result.stats.mispredictions;
               for (int m = i + 1; m < fill; ++m) {
@@ -709,7 +634,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
                 if (victim.valid) {
                   ++result.stats.squashed_instructions;
                   tel.OnSquash(cycle, m, victim);
-                  if (fast) fast_clear_slot(m, victim);
+                  packed_clear_slot(m, victim);
                   victim.Clear();
                   ++victim.generation;
                 }
@@ -725,10 +650,6 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
       for (int i = 0; i < fill; ++i) {
         Station& st = stations[static_cast<std::size_t>(i)];
         if (!st.valid) continue;
-        if (fault_stall[static_cast<std::size_t>(i)] > 0) {
-          --fault_stall[static_cast<std::size_t>(i)];
-          continue;  // Injected stall: the station sits out this cycle.
-        }
         StepContext ctx;
         ctx.prev_stores_done =
             prev_stores_done[static_cast<std::size_t>(i)] != 0;
@@ -799,6 +720,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
               ++result.stats.squashed_instructions;
               ++result.stats.fault.squashes;
               tel.OnSquash(cycle, m, victim);
+              packed_clear_slot(m, victim);
               victim.Clear();
               ++victim.generation;
             }
@@ -823,8 +745,8 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
                     cycle);
         stations[static_cast<std::size_t>(fill)].timing.station = fill;
         tel.OnFetch(cycle, fill, stations[static_cast<std::size_t>(fill)]);
-        if (fast) {
-          fast_fill_slot(fill, stations[static_cast<std::size_t>(fill)]);
+        if (packed) {
+          packed_fill_slot(fill, stations[static_cast<std::size_t>(fill)]);
         }
         ++fill;
       }

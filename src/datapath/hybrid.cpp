@@ -225,26 +225,4 @@ int HybridDatapath::WorstCaseGateDepth() const {
   return column + or_tree + inter + column;
 }
 
-void HybridDatapathState::SaveState(persist::Encoder& e) const {
-  e.I32(n_);
-  e.I32(L_);
-  e.I32(C_);
-  for (const StationRequest& s : stations_) Save(e, s);
-  for (const std::uint8_t f : cluster_dirty_) e.U8(f);
-  for (const std::uint8_t f : cluster_in_dirty_) e.U8(f);
-  ring_.SaveState(e);
-  for (const ResolvedArgs& a : args_) Save(e, a);
-}
-
-void HybridDatapathState::RestoreState(persist::Decoder& d) {
-  if (d.I32() != n_ || d.I32() != L_ || d.I32() != C_) {
-    throw persist::FormatError("hybrid datapath geometry mismatch");
-  }
-  for (StationRequest& s : stations_) Restore(d, s);
-  for (std::uint8_t& f : cluster_dirty_) f = d.U8();
-  for (std::uint8_t& f : cluster_in_dirty_) f = d.U8();
-  ring_.RestoreState(d);
-  for (ResolvedArgs& a : args_) Restore(d, a);
-}
-
 }  // namespace ultra::datapath

@@ -68,22 +68,6 @@ class HybridDatapathState {
                                      : ring_.incoming(cluster, reg);
   }
 
-  /// Fault-injection hook (src/fault/): mutable access to a station's
-  /// resolved arguments, bypassing the dirty tracking so the corruption
-  /// persists until the cluster is recomputed (naturally, or by a checker
-  /// resync via MarkAllDirty + PropagateIncremental).
-  [[nodiscard]] ResolvedArgs& FaultArgs(int station) {
-    return args_[static_cast<std::size_t>(station)];
-  }
-
-  /// Checkpoint support: station requests, dirty bits, the inter-cluster
-  /// ring, and the delivered args — the args round-trip verbatim so live
-  /// fault corruptions survive a restore (see UsiDatapathState::SaveState).
-  /// Scratch buffers are rebuilt on the next propagation and not saved.
-  /// Restore requires matching (num_stations, num_regs, cluster_size).
-  void SaveState(persist::Encoder& e) const;
-  void RestoreState(persist::Decoder& d);
-
  private:
   friend class HybridDatapath;
 

@@ -43,7 +43,7 @@ struct ResolvedArgs {
   friend bool operator==(const ResolvedArgs&, const ResolvedArgs&) = default;
 };
 
-/// Checkpoint codecs shared by the datapath state classes and the cores.
+/// Checkpoint codecs for the cores' register bindings and cached arguments.
 inline void Save(persist::Encoder& e, const RegBinding& b) {
   e.U32(b.value);
   e.Bool(b.ready);
@@ -51,24 +51,6 @@ inline void Save(persist::Encoder& e, const RegBinding& b) {
 inline void Restore(persist::Decoder& d, RegBinding& b) {
   b.value = d.U32();
   b.ready = d.Bool();
-}
-inline void Save(persist::Encoder& e, const StationRequest& s) {
-  e.Bool(s.reads1);
-  e.U8(s.arg1);
-  e.Bool(s.reads2);
-  e.U8(s.arg2);
-  e.Bool(s.writes);
-  e.U8(s.dest);
-  Save(e, s.result);
-}
-inline void Restore(persist::Decoder& d, StationRequest& s) {
-  s.reads1 = d.Bool();
-  s.arg1 = d.U8();
-  s.reads2 = d.Bool();
-  s.arg2 = d.U8();
-  s.writes = d.Bool();
-  s.dest = d.U8();
-  Restore(d, s.result);
 }
 inline void Save(persist::Encoder& e, const ResolvedArgs& a) {
   Save(e, a.arg1);

@@ -218,33 +218,4 @@ int UltrascalarIDatapath::WorstCaseGateDepth() const {
   return worst;
 }
 
-void UsiDatapathState::SaveState(persist::Encoder& e) const {
-  e.I32(n_);
-  e.I32(L_);
-  e.I32(oldest_);
-  for (const RegBinding& b : cell_) Save(e, b);
-  for (const std::uint8_t m : modified_) e.U8(m);
-  for (const RegBinding& b : incoming_) Save(e, b);
-  for (const RegBinding& b : committed_) Save(e, b);
-  for (const std::uint8_t f : dirty_) e.U8(f);
-  for (const int w : writer_count_) e.I32(w);
-  for (const std::uint8_t w : station_writes_) e.U8(w);
-  for (const std::uint8_t r : station_reg_) e.U8(r);
-}
-
-void UsiDatapathState::RestoreState(persist::Decoder& d) {
-  if (d.I32() != n_ || d.I32() != L_) {
-    throw persist::FormatError("USI datapath geometry mismatch");
-  }
-  oldest_ = d.I32();
-  for (RegBinding& b : cell_) Restore(d, b);
-  for (std::uint8_t& m : modified_) m = d.U8();
-  for (RegBinding& b : incoming_) Restore(d, b);
-  for (RegBinding& b : committed_) Restore(d, b);
-  for (std::uint8_t& f : dirty_) f = d.U8();
-  for (int& w : writer_count_) w = d.I32();
-  for (std::uint8_t& w : station_writes_) w = d.U8();
-  for (std::uint8_t& r : station_reg_) r = d.U8();
-}
-
 }  // namespace ultra::datapath

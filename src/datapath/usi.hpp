@@ -94,25 +94,6 @@ class UsiDatapathState {
     return incoming_[Cell(station, reg)];
   }
 
-  /// Fault-injection hook (src/fault/): mutable access to a delivered
-  /// cell. Deliberately bypasses the dirty tracking — the corruption
-  /// models a garbled latch on the ring's output side and persists until
-  /// the column is recomputed (naturally, or by a checker resync via
-  /// MarkAllDirty + PropagateIncremental, which rebuilds every cell from
-  /// the uncorrupted inputs).
-  [[nodiscard]] RegBinding& FaultCell(int station, int reg) {
-    return incoming_[Cell(station, reg)];
-  }
-
-  /// Checkpoint support: serializes the ring's full contents — inputs,
-  /// dirty bits, AND the delivered incoming buffer. The incoming cells must
-  /// round-trip verbatim (not be recomputed) because a live fault corruption
-  /// persists in them until its column is next recomputed; a restore that
-  /// rebuilt them would heal the corruption and diverge from the
-  /// uninterrupted run. Restore requires matching (num_stations, num_regs).
-  void SaveState(persist::Encoder& e) const;
-  void RestoreState(persist::Decoder& d);
-
  private:
   friend class UltrascalarIDatapath;
 

@@ -120,6 +120,12 @@ class Registry {
   /// every site) and enables the seam.
   void ArmCrashAtOp(std::uint64_t op, CrashMode mode);
 
+  /// Sets how crashes manifest -- a crash-at-op and a site schedule's
+  /// `crash` kind alike -- without arming anything.
+  void SetCrashMode(CrashMode mode) {
+    crash_mode_.store(mode, std::memory_order_release);
+  }
+
   /// Enables the seam with no schedules: every operation is counted and
   /// performed for real. This is how a chaos harness measures N, the
   /// number of crash candidates, before enumerating crash-at-op = 1..N.

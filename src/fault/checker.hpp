@@ -1,8 +1,9 @@
 // DatapathChecker: the policy and bookkeeping half of datapath_eval =
-// kChecked. The cores own the actual cross-validation (snapshotting the
-// consumed delivery buffer, recomputing it from the inputs via the full
-// path, and comparing) because each core's buffer shape differs; this
-// class decides *when* a check runs and keeps the per-run counters.
+// kChecked. The cores own the actual cross-validation (recomputing each
+// live station's arguments from the inputs with their full propagation,
+// comparing them with the cached ones, and overwriting mismatches) because
+// each core's propagation differs; this class decides *when* a check runs
+// and keeps the per-run counters.
 //
 // Check cadence (docs/robustness.md):
 //  * every `stride` cycles (cycle % stride == 0), and
@@ -22,7 +23,7 @@ class DatapathChecker {
  public:
   struct Stats {
     std::uint64_t checks = 0;       // Cross-validations run.
-    std::uint64_t divergences = 0;  // Mismatched cells, summed over checks.
+    std::uint64_t divergences = 0;  // Mismatched operands, summed.
     std::uint64_t resyncs = 0;      // Checks that found >= 1 mismatch.
     std::uint64_t last_divergence_cycle = 0;
   };
@@ -39,7 +40,7 @@ class DatapathChecker {
   void RecordCheck() { ++stats_.checks; }
 
   /// Call after a check that found @p mismatched_cells > 0 differing
-  /// cells; the core has already resynchronized from the full path.
+  /// operands; the core has already overwritten them from the full path.
   void RecordDivergence(std::uint64_t cycle, std::uint64_t mismatched_cells) {
     stats_.divergences += mismatched_cells;
     ++stats_.resyncs;

@@ -42,32 +42,14 @@ void FaultInjector::ApplyToBinding(const FaultEvent& e,
   }
 }
 
-void FaultInjector::ApplyDatapathFaults(datapath::UsiDatapathState& state) {
-  const int n = state.num_stations();
-  const int L = state.num_regs();
+void FaultInjector::ApplyDatapathFaults(
+    std::span<datapath::ResolvedArgs> args) {
+  if (args.empty()) return;
   for (const FaultEvent& e : pending()) {
     if (!TargetsDatapath(e.kind)) continue;
-    ApplyToBinding(e, state.FaultCell(e.station % n, e.reg % L));
-  }
-}
-
-void FaultInjector::ApplyDatapathFaults(datapath::HybridDatapathState& state) {
-  const int n = state.num_stations();
-  for (const FaultEvent& e : pending()) {
-    if (!TargetsDatapath(e.kind)) continue;
-    datapath::ResolvedArgs& args = state.FaultArgs(e.station % n);
-    ApplyToBinding(e, e.reg % 2 == 0 ? args.arg1 : args.arg2);
-  }
-}
-
-void FaultInjector::ApplyDatapathFaults(datapath::UsiiPropagation& prop) {
-  if (prop.args.empty()) return;
-  const std::size_t n = prop.args.size();
-  for (const FaultEvent& e : pending()) {
-    if (!TargetsDatapath(e.kind)) continue;
-    datapath::ResolvedArgs& args =
-        prop.args[static_cast<std::size_t>(e.station) % n];
-    ApplyToBinding(e, e.reg % 2 == 0 ? args.arg1 : args.arg2);
+    datapath::ResolvedArgs& hit =
+        args[static_cast<std::size_t>(e.station) % args.size()];
+    ApplyToBinding(e, e.reg % 2 == 0 ? hit.arg1 : hit.arg2);
   }
 }
 

@@ -1,27 +1,25 @@
 // FaultInjector: replays a FaultPlan against a running core.
 //
 // The injector is a cursor over the plan's cycle-sorted events plus the
-// application helpers that write the datapath-targeting kinds into each
-// flavor of delivery buffer. The control kinds (kStallStation,
-// kForceMispredict) are applied by the cores themselves — they need the
-// window geometry and the fetch engine — and reported back here so one
-// FaultStats covers the whole run.
+// helper that writes the datapath-targeting kinds into the stations'
+// resolved arguments. The control kinds (kStallStation, kForceMispredict)
+// are applied by the cores themselves -- they need the window geometry and
+// the fetch engine -- and reported back here so one FaultStats covers the
+// whole run.
 //
-// All three helpers mutate the *delivered* side of a datapath (what the
-// stations read), never the inputs, so a fault models a garbled or lost
-// message on the wires, not a mis-programmed station. Under the
-// incremental evaluation paths the corruption persists until the affected
-// column is naturally recomputed or a checker resync rebuilds it from the
-// inputs — exactly the window in which a real latched soft error would be
-// live.
+// The datapath kinds mutate the *delivered* side of a datapath (the
+// arguments a station reads), never the inputs, so a fault models a
+// garbled or lost message on the wires, not a mis-programmed station. The
+// packed cores cache each station's resolved arguments and re-resolve a
+// station only when its argument source changes, so a corruption persists
+// until that station is next re-resolved or a checker resync overwrites it
+// -- exactly the window in which a real latched soft error would be live.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "datapath/hybrid.hpp"
-#include "datapath/usi.hpp"
-#include "datapath/usii.hpp"
+#include "datapath/reg_binding.hpp"
 #include "fault/fault_plan.hpp"
 #include "persist/serial.hpp"
 
@@ -63,17 +61,10 @@ class FaultInjector {
   /// value); checked mode cross-validates eagerly on such cycles.
   [[nodiscard]] bool HasHazardousPending() const;
 
-  /// Applies the staged datapath-targeting events to an Ultrascalar I ring
-  /// state: the event hits incoming cell (station % n, reg % L).
-  void ApplyDatapathFaults(datapath::UsiDatapathState& state);
-
-  /// Hybrid: the event hits station (station % n)'s resolved argument slot
-  /// (reg % 2 selects arg1/arg2).
-  void ApplyDatapathFaults(datapath::HybridDatapathState& state);
-
-  /// Ultrascalar II: the event hits prop.args[station % n], slot reg % 2 —
-  /// a garbled crosspoint delivery in the grid/mesh.
-  void ApplyDatapathFaults(datapath::UsiiPropagation& prop);
+  /// Applies the staged datapath-targeting events to the stations' cached
+  /// resolved arguments: an event hits args[station % n], operand reg % 2
+  /// (arg1 when even). Call once the cycle's arguments are final.
+  void ApplyDatapathFaults(std::span<datapath::ResolvedArgs> args);
 
   /// Bookkeeping for the core-applied control kinds.
   void NoteStall() { ++stats_.stalls; }

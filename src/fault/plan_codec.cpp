@@ -37,6 +37,10 @@ FaultPlan DecodeFaultPlan(persist::Decoder& d) {
     ev.kind = static_cast<FaultKind>(kind);
     ev.station = d.I32();
     ev.reg = d.I32();
+    if (ev.station < 0 || ev.reg < 0) {
+      // The cores index stations with station % n.
+      throw persist::FormatError("negative fault site");
+    }
     ev.payload = d.U64();
     events.push_back(ev);
   }

@@ -29,12 +29,16 @@
 namespace ultra::persist {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x504B4355;  // "UCKP" LE.
-// Version 2: RunStats::fallback_count joined the serialized partial result
-// (core/checkpoint_util.hpp).
+// Version 2: a packed-path fallback counter joined the serialized partial
+// result (core/checkpoint_util.hpp).
 // Version 3: MemorySystem and FetchEngine state grew the L1D/L2/icache
 // hierarchy models, in-flight hierarchy misses, and queued prefetch fills
 // (memory/hierarchy.hpp).
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// Version 4: the fallback counter left the partial result again; the
+// incremental datapath state left the core blobs (it is rebuilt from the
+// stations on restore) and packed runs serialize their cached station
+// arguments and stale set instead, so live fault corruptions survive.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 struct CheckpointHeader {
   /// core::ProcessorKind of the core that wrote the blob (stored as the raw

@@ -199,8 +199,8 @@ void WriteCsv(std::ostream& os, const std::vector<SweepOutcome>& outcomes) {
        << s.mispredictions << ',' << s.squashed_instructions << ','
        << s.forwarded_loads << ',' << s.load_count << ',' << s.store_count
        << ',' << s.fetch_stall_cycles << ',' << s.window_full_cycles << ','
-       << s.faults_injected() << ',' << s.divergences_detected() << ','
-       << s.checker_resyncs() << ',' << s.squashes_under_fault() << ','
+       << s.fault.injected << ',' << s.fault.divergences << ','
+       << s.fault.resyncs << ',' << s.fault.squashes << ','
        << s.mem_hierarchy.l1d_hits << ',' << s.mem_hierarchy.l1d_misses << ','
        << s.mem_hierarchy.l2_hits << ',' << s.mem_hierarchy.l2_misses << ','
        << s.mem_hierarchy.icache_misses << ','
@@ -287,10 +287,10 @@ void WriteJson(std::ostream& os, const std::vector<SweepOutcome>& outcomes) {
        << ", \"store_count\": " << s.store_count
        << ", \"fetch_stall_cycles\": " << s.fetch_stall_cycles
        << ", \"window_full_cycles\": " << s.window_full_cycles
-       << ", \"faults_injected\": " << s.faults_injected()
-       << ", \"divergences_detected\": " << s.divergences_detected()
-       << ", \"checker_resyncs\": " << s.checker_resyncs()
-       << ", \"squashes_under_fault\": " << s.squashes_under_fault()
+       << ", \"faults_injected\": " << s.fault.injected
+       << ", \"divergences_detected\": " << s.fault.divergences
+       << ", \"checker_resyncs\": " << s.fault.resyncs
+       << ", \"squashes_under_fault\": " << s.fault.squashes
        << ",\n     \"l1d_hits\": " << s.mem_hierarchy.l1d_hits
        << ", \"l1d_misses\": " << s.mem_hierarchy.l1d_misses
        << ", \"l1d_writebacks\": " << s.mem_hierarchy.l1d_writebacks

@@ -15,6 +15,7 @@
 #include <new>
 
 #include "core/core.hpp"
+#include "fault/fault_plan.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -220,6 +221,38 @@ TEST_P(SteadyStateAllocations, PackedForwardingTelemetryStaysAllocationFree) {
       MeasuredTelemetryRun(kind, cfg, short_prog, true, true);
   const RunCost long_run =
       MeasuredTelemetryRun(kind, cfg, long_prog, true, true);
+  ASSERT_GT(long_run.cycles, short_run.cycles + 500u);
+  const std::uint64_t delta = long_run.allocations - short_run.allocations;
+  EXPECT_LT(delta, 64u) << "long run: " << long_run.allocations
+                        << " allocations over " << long_run.cycles
+                        << " cycles; short run: " << short_run.allocations
+                        << " over " << short_run.cycles;
+  EXPECT_LT(delta * 8, long_run.cycles - short_run.cycles);
+}
+
+// Fault plans run on the packed loop too: staging events, corrupting the
+// cached arguments, stalls and forced squashes must all stay off the
+// allocator. The plan is built before the measured region; its value
+// corruptions and forced squashes keep the ALU-only runs halting.
+TEST_P(SteadyStateAllocations, PackedFaultPlanStaysAllocationFree) {
+  const ProcessorKind kind = GetParam();
+  constexpr fault::FaultKind kinds[] = {fault::FaultKind::kCorruptValue,
+                                        fault::FaultKind::kStallStation,
+                                        fault::FaultKind::kForceMispredict};
+  CoreConfig cfg;
+  cfg.window_size = 32;
+  cfg.cluster_size = 8;
+  cfg.mem.mode = memory::MemTimingMode::kMagic;
+  cfg.datapath_eval = core::DatapathEval::kPacked;
+  cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::Random(5, 0.02, 100'000, kinds));
+  const auto short_prog = workloads::DependencyChains(
+      {.num_instructions = 512, .ilp = 4, .seed = 11});
+  const auto long_prog = workloads::DependencyChains(
+      {.num_instructions = 4096, .ilp = 4, .seed = 11});
+
+  const RunCost short_run = MeasuredRun(kind, cfg, short_prog);
+  const RunCost long_run = MeasuredRun(kind, cfg, long_prog);
   ASSERT_GT(long_run.cycles, short_run.cycles + 500u);
   const std::uint64_t delta = long_run.allocations - short_run.allocations;
   EXPECT_LT(delta, 64u) << "long run: " << long_run.allocations

@@ -1,9 +1,11 @@
 // Fault-injection and self-checking datapath tests (tier1).
 //
-// The contract under test (docs/robustness.md): with datapath_eval =
-// kChecked and any seeded FaultPlan, every injected corruption is either
-// masked or detected-and-resynced, so the final architectural state still
-// matches the functional oracle on all three scalable cores.
+// The contract under test (docs/robustness.md): fault plans run on the
+// packed path, where datapath faults corrupt a station's cached arguments.
+// With datapath_eval = kChecked and any seeded FaultPlan, every injected
+// corruption is either masked or detected-and-resynced, so the final
+// architectural state still matches the functional oracle on all three
+// scalable cores.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +14,8 @@
 
 #include "core/core.hpp"
 #include "fault/fault.hpp"
+#include "fault/plan_codec.hpp"
+#include "workloads/workloads.hpp"
 
 namespace ultra {
 namespace {
@@ -48,6 +52,7 @@ CoreConfig BaseConfig() {
   cfg.cluster_size = 4;
   cfg.predictor = core::PredictorKind::kBtfn;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
+  cfg.datapath_eval = DatapathEval::kPacked;
   return cfg;
 }
 
@@ -107,17 +112,33 @@ TEST(FaultPlan, ExplicitEventsAreStableSortedByCycle) {
   EXPECT_EQ(plan.events()[2].kind, FaultKind::kDropDelivery);
 }
 
+TEST(FaultPlan, CodecRejectsNegativeSites) {
+  const FaultEvent negative_station{5, FaultKind::kStallStation, -1, 0, 3};
+  const FaultEvent negative_reg{5, FaultKind::kFlipReady, 2, -3, 0};
+  for (const FaultEvent& bad : {negative_station, negative_reg}) {
+    persist::Encoder e;
+    EncodeFaultPlan(e, FaultPlan({bad}));
+    const std::vector<std::uint8_t> bytes = e.Take();
+    persist::Decoder d(bytes);
+    EXPECT_THROW((void)fault::DecodeFaultPlan(d), persist::FormatError);
+  }
+}
+
 // --- Configuration validation --------------------------------------------
 
+// Faults corrupt the packed path's cached arguments, so only the packed
+// and checked modes accept a plan.
 TEST(FaultConfig, FaultPlanRejectedUnderFullRecompute) {
   CoreConfig cfg = BaseConfig();
   cfg.fault_plan =
       std::make_shared<const FaultPlan>(FaultPlan::Random(1, 0.05, 100));
   cfg.datapath_eval = DatapathEval::kFullRecompute;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
+  cfg.datapath_eval = DatapathEval::kIncremental;
+  EXPECT_THROW(cfg.Validate(), std::invalid_argument);
   cfg.datapath_eval = DatapathEval::kChecked;
   EXPECT_NO_THROW(cfg.Validate());
-  cfg.datapath_eval = DatapathEval::kIncremental;
+  cfg.datapath_eval = DatapathEval::kPacked;
   EXPECT_NO_THROW(cfg.Validate());
 }
 
@@ -145,6 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(ScalableCores, CheckedModeIsANoopOnCleanRuns) {
   const auto program = LoopProgram();
   CoreConfig cfg = BaseConfig();
+  cfg.datapath_eval = DatapathEval::kIncremental;
   const auto plain = RunOn(GetParam(), program, cfg);
   cfg.datapath_eval = DatapathEval::kChecked;
   cfg.checker_stride = 32;
@@ -153,10 +175,10 @@ TEST_P(ScalableCores, CheckedModeIsANoopOnCleanRuns) {
   EXPECT_EQ(checked.cycles, plain.cycles);
   EXPECT_EQ(checked.committed, plain.committed);
   EXPECT_EQ(checked.regs, plain.regs);
-  EXPECT_GT(checked.stats.checker_checks(), 0u);
-  EXPECT_EQ(checked.stats.divergences_detected(), 0u);
-  EXPECT_EQ(checked.stats.checker_resyncs(), 0u);
-  EXPECT_EQ(checked.stats.faults_injected(), 0u);
+  EXPECT_GT(checked.stats.fault.checks, 0u);
+  EXPECT_EQ(checked.stats.fault.divergences, 0u);
+  EXPECT_EQ(checked.stats.fault.resyncs, 0u);
+  EXPECT_EQ(checked.stats.fault.injected, 0u);
 }
 
 TEST_P(ScalableCores, EveryFaultKindIsMaskedOrRepairedUnderCheckedMode) {
@@ -168,7 +190,7 @@ TEST_P(ScalableCores, EveryFaultKindIsMaskedOrRepairedUnderCheckedMode) {
       std::make_shared<const FaultPlan>(FaultPlan::Random(7, 0.05, 300));
   const auto result = RunOn(GetParam(), program, cfg);
   EXPECT_TRUE(result.halted);
-  EXPECT_GT(result.stats.faults_injected(), 0u);
+  EXPECT_GT(result.stats.fault.injected, 0u);
   ExpectMatchesFunctional(program, result, cfg.num_regs);
 }
 
@@ -182,11 +204,11 @@ TEST_P(ScalableCores, ValueCorruptionIsDetectedAndResynced) {
       FaultPlan::Random(11, 0.1, 200, kinds));
   const auto result = RunOn(GetParam(), program, cfg);
   EXPECT_TRUE(result.halted);
-  EXPECT_GT(result.stats.faults_injected(), 0u);
+  EXPECT_GT(result.stats.fault.injected, 0u);
   // An XORed delivery always differs from the recomputed truth, so every
   // staged corruption on a live cycle must surface as a divergence.
-  EXPECT_GT(result.stats.divergences_detected(), 0u);
-  EXPECT_GT(result.stats.checker_resyncs(), 0u);
+  EXPECT_GT(result.stats.fault.divergences, 0u);
+  EXPECT_GT(result.stats.fault.resyncs, 0u);
   ExpectMatchesFunctional(program, result, cfg.num_regs);
 }
 
@@ -200,7 +222,7 @@ TEST_P(ScalableCores, DroppedDeliveriesAreRepairedByThePeriodicCheck) {
       FaultPlan::Random(23, 0.05, 300, kinds));
   const auto result = RunOn(GetParam(), program, cfg);
   EXPECT_TRUE(result.halted);
-  EXPECT_GT(result.stats.faults_injected(), 0u);
+  EXPECT_GT(result.stats.fault.injected, 0u);
   ExpectMatchesFunctional(program, result, cfg.num_regs);
 }
 
@@ -217,8 +239,8 @@ TEST_P(ScalableCores, WrongPathBurstSquashesAndRecommitsCorrectly) {
   cfg.fault_plan = std::make_shared<const FaultPlan>(FaultPlan(events));
   const auto result = RunOn(GetParam(), program, cfg);
   EXPECT_TRUE(result.halted);
-  EXPECT_GT(result.stats.faults_injected(), 0u);
-  EXPECT_GT(result.stats.squashes_under_fault(), 0u);
+  EXPECT_GT(result.stats.fault.injected, 0u);
+  EXPECT_GT(result.stats.fault.squashes, 0u);
   ExpectMatchesFunctional(program, result, cfg.num_regs);
 }
 
@@ -231,9 +253,107 @@ TEST_P(ScalableCores, StallsOnlyDelayExecution) {
   const auto baseline = RunOn(GetParam(), program, BaseConfig());
   const auto result = RunOn(GetParam(), program, cfg);
   EXPECT_TRUE(result.halted);
-  EXPECT_GT(result.stats.faults_injected(), 0u);
+  EXPECT_GT(result.stats.fault.injected, 0u);
   EXPECT_GE(result.cycles, baseline.cycles);
   ExpectMatchesFunctional(program, result, cfg.num_regs);
+}
+
+bool SameRun(const core::RunResult& a, const core::RunResult& b) {
+  if (a.halted != b.halted || a.cycles != b.cycles ||
+      a.committed != b.committed || a.regs != b.regs ||
+      a.memory != b.memory || a.timeline.size() != b.timeline.size()) {
+    return false;
+  }
+  for (std::size_t t = 0; t < a.timeline.size(); ++t) {
+    if (a.timeline[t].issue_cycle != b.timeline[t].issue_cycle ||
+        a.timeline[t].complete_cycle != b.timeline[t].complete_cycle) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Pipelined Ultrascalar I delivery re-resolves every station's arguments
+// each cycle; value, ready and drop faults must still reach the arguments
+// the stations read that cycle. The plan has only those kinds, so it must
+// perturb an unchecked run, and checked mode must catch and repair it.
+TEST(PipelinedFaults, DatapathFaultsReachPipelinedStations) {
+  constexpr std::array kinds = {FaultKind::kCorruptValue,
+                                FaultKind::kFlipReady,
+                                FaultKind::kDropDelivery};
+  const auto program = workloads::RandomMix({.num_instructions = 1024});
+  for (const int levels : {1, 2}) {
+    SCOPED_TRACE("pipeline_levels_per_stage = " + std::to_string(levels));
+    CoreConfig cfg;
+    cfg.window_size = 32;
+    cfg.mem.mode = memory::MemTimingMode::kMagic;
+    cfg.pipeline_levels_per_stage = levels;
+    cfg.datapath_eval = DatapathEval::kPacked;
+    const auto clean = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+    cfg.fault_plan = std::make_shared<const FaultPlan>(
+        FaultPlan::Random(424242, 0.05, 20000, kinds));
+    const auto faulted = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+    EXPECT_GT(faulted.stats.fault.injected, 0u);
+    EXPECT_FALSE(SameRun(faulted, clean))
+        << "no injected datapath fault reached a station";
+
+    cfg.datapath_eval = DatapathEval::kChecked;
+    const auto checked = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+    EXPECT_TRUE(checked.halted);
+    EXPECT_GT(checked.stats.fault.divergences, 0u);
+    ExpectMatchesFunctional(program, checked, cfg.num_regs);
+  }
+}
+
+// Hybrid stall lanes are indexed by program position, which renumbers by
+// C whenever the head cluster deallocates; an injected stall must follow
+// the station it names across that shift.
+TEST(HybridFaults, StallFollowsItsStationAcrossClusterDeallocation) {
+  const auto program =
+      workloads::DependencyChains({.num_instructions = 400, .ilp = 4});
+  CoreConfig cfg = BaseConfig();
+  cfg.window_size = 16;
+  cfg.cluster_size = 4;
+  const auto clean = RunOn(ProcessorKind::kHybrid, program, cfg);
+  ASSERT_TRUE(clean.halted);
+
+  // A cycle on which the head cluster deallocates (its last slot commits)
+  // while a younger instruction sits fetched but not yet issued, and would
+  // issue within the stall's eight cycles without it.
+  constexpr int kStall = 8;  // payload 7 -> 7 % 8 + 1 cycles.
+  const core::InstrTiming* victim = nullptr;
+  std::uint64_t dealloc_cycle = 0;
+  for (const core::InstrTiming& last : clean.timeline) {
+    if (last.station % cfg.cluster_size != cfg.cluster_size - 1) continue;
+    const std::uint64_t c = last.commit_cycle;
+    for (const core::InstrTiming& t : clean.timeline) {
+      if (t.fetch_cycle < c && t.issue_cycle > c &&
+          t.issue_cycle < c + kStall) {
+        victim = &t;
+        break;
+      }
+    }
+    if (victim != nullptr) {
+      dealloc_cycle = c;
+      break;
+    }
+  }
+  ASSERT_NE(victim, nullptr) << "no deallocation overlaps a waiting station";
+
+  cfg.fault_plan = std::make_shared<const FaultPlan>(FaultPlan(
+      {{dealloc_cycle, FaultKind::kStallStation, victim->station, 0,
+        kStall - 1}}));
+  const auto stalled = RunOn(ProcessorKind::kHybrid, program, cfg);
+  ASSERT_TRUE(stalled.halted);
+  ExpectMatchesFunctional(program, stalled, cfg.num_regs);
+  const core::InstrTiming* same = nullptr;
+  for (const core::InstrTiming& t : stalled.timeline) {
+    if (t.seq == victim->seq) same = &t;
+  }
+  ASSERT_NE(same, nullptr);
+  EXPECT_EQ(same->station, victim->station);
+  EXPECT_GE(same->issue_cycle, dealloc_cycle + kStall)
+      << "the stall was lost or moved when the head cluster deallocated";
 }
 
 }  // namespace

@@ -3,12 +3,12 @@
 // path must reproduce the full-recompute reference and the incremental
 // path byte for byte — the complete RunResult, timeline included — across
 // window sizes that exercise partial words, shared ALUs, real memory
-// models, speculation, and squashes. Packed mode is fallback-free: fault
-// plans, store forwarding, telemetry, and pipelined datapaths all run
-// inside the packed cycle loops (RunStats::fallback_count must stay 0)
-// and still match byte for byte. Checkpoint round-trips under packed
-// evaluation must resume cycle-for-cycle identically. See docs/runtime.md,
-// "Bit-packed evaluation".
+// models, speculation, and squashes, and on real kernels and a recorded
+// trace at windows up to 1024. Store forwarding, telemetry and pipelined
+// datapaths run inside the same packed loop and still match byte for
+// byte; fault plans run there too. Checkpoint round-trips under packed
+// evaluation must resume cycle-for-cycle identically, also with live fault
+// corruption. See docs/runtime.md, "Bit-packed evaluation".
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -141,32 +141,67 @@ TEST(PackedEval, KernelsAgreeOnAllCores) {
   ExpectAllEvalPathsAgree(workloads::DotProduct(40), cfg);
 }
 
-// Configurations that used to route around the packed loops now run
-// inside them — fallback-free, still byte-identical, with the fallback
-// counter pinned at zero. Fault injection is the interesting one — the
-// injected events, self-checking resyncs, and fault squashes must all
-// still happen under the word-parallel walk.
+// Real kernels and a recorded trace at the windows the sweeps use, up to
+// 1024 stations (16 packed words). Magic memory keeps the 1024-station
+// full-recompute runs short; the memory models are covered above.
+class PackedEvalKernelWindows : public testing::TestWithParam<int> {};
+
+TEST_P(PackedEvalKernelWindows, KernelsAndTraceAgreeOnAllCores) {
+  CoreConfig cfg;
+  cfg.window_size = GetParam();
+  cfg.mem.mode = memory::MemTimingMode::kMagic;
+  ExpectAllEvalPathsAgree(workloads::BubbleSort(12), cfg);
+  ExpectAllEvalPathsAgree(workloads::DotProduct(24), cfg);
+  ExpectAllEvalPathsAgree(workloads::MemCopy(32), cfg);
+  const auto trace = workloads::DecodeTraceText(workloads::EncodeTraceText(
+      workloads::RecordTrace("indirect", workloads::IndirectSum(16))));
+  ExpectAllEvalPathsAgree(workloads::TraceToProgram(trace), cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, PackedEvalKernelWindows,
+                         testing::Values(64, 256, 1024),
+                         [](const auto& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+// Fault plans run on the packed loop. Control faults (stalls and forced
+// mispredicts) corrupt no datapath cell, so checked mode must reproduce the
+// unchecked packed run byte for byte while injecting the same events and
+// squashes; with datapath faults mixed in, checked mode must stay
+// oracle-exact.
 TEST(PackedEvalFallbackFree, FaultInjectionRunsPackedUnchanged) {
+  constexpr fault::FaultKind kControl[] = {fault::FaultKind::kStallStation,
+                                           fault::FaultKind::kForceMispredict};
   const auto program = workloads::DependencyChains(
       {.num_instructions = 400, .ilp = 3});
+  core::FunctionalSimulator fn(isa::kDefaultLogicalRegisters);
+  const auto oracle = fn.Run(program);
   for (const auto kind : kAllKinds) {
     SCOPED_TRACE(core::ProcessorKindName(kind));
     CoreConfig cfg;
     cfg.window_size = 80;
     cfg.mem.mode = memory::MemTimingMode::kMagic;
     cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
-        fault::FaultPlan::Random(21, 0.05, 300));
-    cfg.datapath_eval = DatapathEval::kIncremental;
-    const RunResult incr = core::MakeProcessor(kind, cfg)->Run(program);
+        fault::FaultPlan::Random(21, 0.05, 300, kControl));
     cfg.datapath_eval = DatapathEval::kPacked;
     const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
-    ExpectSameRun(packed, incr);
+    cfg.datapath_eval = DatapathEval::kChecked;
+    const RunResult checked = core::MakeProcessor(kind, cfg)->Run(program);
+    ExpectSameRun(checked, packed);
+    EXPECT_EQ(checked.stats.fault.divergences, 0u);
     // The Ideal core models no delivery hardware to corrupt; only the
     // scalable cores take injections.
-    if (kind != ProcessorKind::kIdeal) {
-      EXPECT_GT(packed.stats.fault.injected, 0u);
-    }
-    EXPECT_EQ(packed.stats.fallback_count, 0u);
+    if (kind == ProcessorKind::kIdeal) continue;
+    EXPECT_GT(packed.stats.fault.injected, 0u);
+    EXPECT_GT(packed.stats.fault.squashes, 0u);
+
+    cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+        fault::FaultPlan::Random(21, 0.05, 300));
+    const RunResult mixed = core::MakeProcessor(kind, cfg)->Run(program);
+    ASSERT_TRUE(mixed.halted);
+    EXPECT_GT(mixed.stats.fault.injected, 0u);
+    EXPECT_EQ(mixed.regs, oracle.regs);
+    EXPECT_EQ(mixed.memory, oracle.memory.Snapshot());
   }
 }
 
@@ -186,7 +221,6 @@ TEST(PackedEvalFallbackFree, StoreForwardingRunsPackedUnchanged) {
     const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
     ExpectSameRun(packed, incr);
     EXPECT_GT(packed.stats.forwarded_loads, 0u);
-    EXPECT_EQ(packed.stats.fallback_count, 0u);
   }
 }
 
@@ -206,7 +240,6 @@ TEST(PackedEvalFallbackFree, PipelinedDatapathRunsPackedUnchanged) {
   const RunResult packed =
       core::MakeProcessor(ProcessorKind::kUltrascalarI, cfg)->Run(program);
   ExpectSameRun(packed, incr);
-  EXPECT_EQ(packed.stats.fallback_count, 0u);
 }
 
 // Checkpoint/restore under packed evaluation: save mid-run, restore, and
@@ -239,35 +272,48 @@ TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
   }
 }
 
-// The hard case for fallback-free packed mode: a checkpoint taken while a
-// fault plan has corruption live in the delivery buffers must restore into
-// the packed loop and reproduce the faulted trajectory (divergences,
-// resyncs, squashes) cycle for cycle — with zero fallbacks.
+// The hard case: a checkpoint taken while a fault plan has corruption live
+// in the cached station arguments must restore into the packed loop and
+// reproduce the faulted trajectory (divergences, resyncs, squashes) cycle
+// for cycle, unchecked and checked, pipelined Ultrascalar I included.
 TEST(PackedEvalCheckpoint, RoundTripsUnderLiveFaultPlan) {
   const auto program = workloads::RandomMix({.num_instructions = 512});
-  for (const auto kind : kAllKinds) {
-    if (kind == ProcessorKind::kIdeal) continue;  // No fault injection.
-    SCOPED_TRACE(core::ProcessorKindName(kind));
-    CoreConfig cfg;
-    cfg.window_size = 16;
-    cfg.cluster_size = 4;
-    cfg.mem.mode = memory::MemTimingMode::kMagic;
-    cfg.datapath_eval = DatapathEval::kPacked;
-    cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
-        fault::FaultPlan::Random(7, 0.02, 50'000));
-    const auto proc = core::MakeProcessor(kind, cfg);
-    const RunResult packed = proc->Run(program);
-    ASSERT_TRUE(packed.halted);
-    EXPECT_GT(packed.stats.fault.injected, 0u);
-    EXPECT_EQ(packed.stats.fallback_count, 0u);
-    for (const std::uint64_t cycle : {packed.cycles / 4, packed.cycles / 2,
-                                      (3 * packed.cycles) / 4}) {
-      if (cycle == 0 || cycle >= packed.cycles) continue;
-      SCOPED_TRACE("checkpoint at cycle " + std::to_string(cycle));
-      const persist::Checkpoint ckpt = proc->SaveCheckpoint(program, cycle);
-      const RunResult resumed = proc->RestoreCheckpoint(program, ckpt);
-      ExpectSameRun(resumed, packed);
-      EXPECT_EQ(resumed.stats.fallback_count, 0u);
+  struct Case {
+    ProcessorKind kind;
+    int pipeline_levels;
+  };
+  for (const Case c : {Case{ProcessorKind::kUltrascalarI, 0},
+                       Case{ProcessorKind::kUltrascalarI, 2},
+                       Case{ProcessorKind::kUltrascalarII, 0},
+                       Case{ProcessorKind::kHybrid, 0}}) {
+    for (const auto eval : {DatapathEval::kPacked, DatapathEval::kChecked}) {
+      SCOPED_TRACE(std::string(core::ProcessorKindName(c.kind)) +
+                   " levels=" + std::to_string(c.pipeline_levels) +
+                   (eval == DatapathEval::kChecked ? " checked" : " packed"));
+      CoreConfig cfg;
+      cfg.window_size = 16;
+      cfg.cluster_size = 4;
+      cfg.pipeline_levels_per_stage = c.pipeline_levels;
+      cfg.mem.mode = memory::MemTimingMode::kMagic;
+      cfg.datapath_eval = eval;
+      cfg.checker_stride = 8;
+      cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+          fault::FaultPlan::Random(7, 0.02, 50'000));
+      const auto proc = core::MakeProcessor(c.kind, cfg);
+      const RunResult base = proc->Run(program);
+      EXPECT_GT(base.stats.fault.injected, 0u);
+      ASSERT_GT(base.cycles, 4u);
+      for (const std::uint64_t cycle : {base.cycles / 4, base.cycles / 2,
+                                        (3 * base.cycles) / 4}) {
+        SCOPED_TRACE("checkpoint at cycle " + std::to_string(cycle));
+        const persist::Checkpoint ckpt = proc->SaveCheckpoint(program, cycle);
+        const RunResult resumed = proc->RestoreCheckpoint(program, ckpt);
+        ExpectSameRun(resumed, base);
+        ASSERT_EQ(resumed.stats.fault.checks, base.stats.fault.checks);
+        ASSERT_EQ(resumed.stats.fault.divergences,
+                  base.stats.fault.divergences);
+        ASSERT_EQ(resumed.stats.fault.resyncs, base.stats.fault.resyncs);
+      }
     }
   }
 }

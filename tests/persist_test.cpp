@@ -173,9 +173,9 @@ TEST(CheckpointFile, GoldenHeaderBytesLockTheFormatVersion) {
   ckpt.state = {0xDE, 0xAD};
   const std::vector<std::uint8_t> bytes = persist::EncodeCheckpoint(ckpt);
   ASSERT_GE(bytes.size(), 8u);
-  // Version 3: the mem/fetch SaveState formats grew the L1D/L2/icache
-  // hierarchy models (PR 9).
-  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 3, 0, 0, 0};
+  // Version 4: the fallback counter and the incremental datapath state
+  // left the blobs; packed runs save their cached station arguments.
+  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 4, 0, 0, 0};
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(bytes[static_cast<std::size_t>(i)], golden[i]) << "byte " << i;
   }
@@ -486,30 +486,37 @@ TEST(Checkpoint, ExactUnderMemorySystemAndTraceCache) {
 
 TEST(Checkpoint, ExactUnderLiveFaultInjection) {
   // The hard case: a checkpoint taken while injected corruption is live in
-  // the datapath delivery buffers must reproduce the corrupted trajectory
-  // (divergences, resyncs, squashes) exactly.
+  // the cached station arguments must reproduce the corrupted trajectory
+  // (divergences, resyncs, squashes) exactly, checked or not.
   const isa::Program program =
       workloads::RandomMix({.num_instructions = 512});
   for (const auto kind :
        {ProcessorKind::kUltrascalarI, ProcessorKind::kUltrascalarII,
         ProcessorKind::kHybrid}) {
-    SCOPED_TRACE(core::ProcessorKindName(kind));
-    CoreConfig cfg;
-    cfg.window_size = 16;
-    cfg.cluster_size = 4;
-    cfg.mem.mode = memory::MemTimingMode::kMagic;
-    cfg.datapath_eval = core::DatapathEval::kChecked;
-    cfg.checker_stride = 8;
-    cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
-        fault::FaultPlan::Random(7, 0.02, 50'000));
-    const auto proc = core::MakeProcessor(kind, cfg);
-    const core::RunResult base = proc->Run(program);
-    ASSERT_TRUE(base.halted);
-    EXPECT_GT(base.stats.fault.injected, 0u);
-    for (const std::uint64_t cycle : {base.cycles / 4, base.cycles / 2,
-                                      (3 * base.cycles) / 4}) {
-      if (cycle == 0 || cycle >= base.cycles) continue;
-      ExpectCheckpointExact(kind, cfg, program, base, cycle);
+    for (const auto eval :
+         {core::DatapathEval::kPacked, core::DatapathEval::kChecked}) {
+      SCOPED_TRACE(std::string(core::ProcessorKindName(kind)) +
+                   (eval == core::DatapathEval::kChecked ? " checked"
+                                                         : " packed"));
+      CoreConfig cfg;
+      cfg.window_size = 16;
+      cfg.cluster_size = 4;
+      cfg.mem.mode = memory::MemTimingMode::kMagic;
+      cfg.datapath_eval = eval;
+      cfg.checker_stride = 8;
+      cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+          fault::FaultPlan::Random(7, 0.02, 50'000));
+      const auto proc = core::MakeProcessor(kind, cfg);
+      const core::RunResult base = proc->Run(program);
+      if (eval == core::DatapathEval::kChecked) {
+        ASSERT_TRUE(base.halted);
+      }
+      EXPECT_GT(base.stats.fault.injected, 0u);
+      for (const std::uint64_t cycle : {base.cycles / 4, base.cycles / 2,
+                                        (3 * base.cycles) / 4}) {
+        if (cycle == 0 || cycle >= base.cycles) continue;
+        ExpectCheckpointExact(kind, cfg, program, base, cycle);
+      }
     }
   }
 }
@@ -792,12 +799,12 @@ TEST(ReproBundle, FailedFaultPointReplaysStandalone) {
   point.kind = ProcessorKind::kUltrascalarI;
   point.config.window_size = 32;
   point.config.mem.mode = memory::MemTimingMode::kMagic;
-  point.config.datapath_eval = core::DatapathEval::kIncremental;
+  point.config.datapath_eval = core::DatapathEval::kPacked;
   // This (seed, rate, workload) combination verifiably corrupts
-  // architectural state: most injected faults are masked by downstream
-  // recomputation, so the recipe matters.
+  // architectural state: most injected faults land on empty stations or
+  // unread operands, or are re-resolved before use, so the recipe matters.
   point.config.fault_plan = std::make_shared<const fault::FaultPlan>(
-      fault::FaultPlan::Random(424242, 0.05, 100'000));
+      fault::FaultPlan::Random(424243, 0.05, 100'000));
   point.program = std::make_shared<isa::Program>(
       workloads::RandomMix({.num_instructions = 1024}));
   point.workload = "mix-fault";
@@ -818,7 +825,7 @@ TEST(ReproBundle, FailedFaultPointReplaysStandalone) {
   EXPECT_EQ(bundle.outcome.workload, "mix-fault");
   ASSERT_NE(bundle.point.program, nullptr);
   ASSERT_NE(bundle.point.config.fault_plan, nullptr);
-  EXPECT_EQ(bundle.point.config.fault_plan->provenance().seed, 424242u);
+  EXPECT_EQ(bundle.point.config.fault_plan->provenance().seed, 424243u);
   ASSERT_TRUE(bundle.checkpoint.has_value());
 
   // Re-run from scratch: identical trajectory.

@@ -5,9 +5,11 @@
 // startup, and the headline robustness property — a daemon killed mid-sweep
 // restarts and produces an export byte-identical to an uninterrupted run.
 //
-// The "crash" here is SweepService::Stop(drain=false): a hard cooperative
-// cancel that joins threads but, like a real SIGKILL, writes no done
-// records and journals no cancelled points. The CI service smoke job
+// The crash-restart test freezes the daemon's disk with a silent failpoint
+// crash at a fixed journal append (the on-disk state a power cut there
+// would leave), then hard-stops it with SweepService::Stop(drain=false): a
+// cooperative cancel that joins threads but, like a real SIGKILL, writes no
+// done records and journals no cancelled points. The CI service smoke job
 // (scripts/service_smoke.sh) covers the literal kill -9 against a live
 // daemon process; these tests keep the same recovery machinery under gtest
 // and ASan.
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "failpoint/failpoint.hpp"
 #include "isa/assembler.hpp"
 #include "persist/journal.hpp"
 #include "persist/serial.hpp"
@@ -440,9 +443,9 @@ TEST(SweepService, SecondDaemonOnSameStateDirIsRefused) {
 // --- Crash restart --------------------------------------------------------
 
 TEST(SweepService, CrashRestartResumesToByteIdenticalExport) {
+  namespace fp = failpoint;
   const TempDir tmp;
-  // A sweep long enough that the hard stop lands mid-run: 16 points of a
-  // real kernel across all four cores.
+  // 16 points of a real kernel across all four cores.
   const auto program =
       std::make_shared<const isa::Program>(workloads::BubbleSort(60));
   std::vector<runtime::SweepPoint> points;
@@ -458,25 +461,63 @@ TEST(SweepService, CrashRestartResumesToByteIdenticalExport) {
       points.push_back(std::move(p));
     }
   }
-
-  std::uint64_t id = 0;
-  {
-    service::SweepService svc(MakeOptions(tmp));
-    svc.Start();
+  const auto submit = [&](const service::SweepService& svc) {
     service::SweepClient client(svc.options().socket_path);
     service::SubmitRequest req;
     req.points = points;
     req.detach = true;
     req.csv_name = "crash.csv";
     const service::SubmitReply admitted = client.Submit(req);
-    ASSERT_EQ(admitted.status, service::AdmitStatus::kAccepted);
-    id = admitted.request_id;
-    // Let some — ideally not all — points complete, then "crash": a hard
-    // stop writes no done record and journals no cancelled points, exactly
-    // like a SIGKILL (minus the thread joins gtest needs).
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(admitted.status, service::AdmitStatus::kAccepted);
+    return admitted.request_id;
+  };
+
+  // Counting pass: the journal appends of an uninterrupted submit -> done
+  // cycle (the admission record, the sweep journal, the done record).
+  fp::Registry& reg = fp::Registry::Instance();
+  reg.Reset();
+  reg.EnableCounting();
+  {
+    service::ServiceOptions options = MakeOptions(tmp);
+    options.socket_path = tmp.File("count.sock");
+    options.state_dir = tmp.File("count-state");
+    service::SweepService svc(options);
+    svc.Start();
+    const std::uint64_t count_id = submit(svc);
+    service::SweepClient client(options.socket_path);
+    ASSERT_EQ(client.Wait(service::WaitRequest{count_id, false, false}).state,
+              service::RequestState::kDone);
+    svc.Stop(/*drain=*/true);
+  }
+  const std::uint64_t appends = reg.hits("journal.append.write");
+  reg.Reset();
+  ASSERT_GT(appends, points.size());
+
+  // Crash: the disk freezes at the append halfway through the sweep --
+  // after the admission record is durable, before the done record -- as a
+  // power cut there would leave it. The daemon keeps running on the dead
+  // disk until the hard stop, which writes nothing more.
+  std::uint64_t id = 0;
+  {
+    reg.SetCrashMode(fp::CrashMode::kSilent);
+    fp::Schedule crash;
+    crash.kind = fp::ErrorKind::kCrash;
+    crash.nth = appends / 2;
+    crash.max_fires = 1;
+    reg.Arm("journal.append.write", crash);
+    service::SweepService svc(MakeOptions(tmp));
+    svc.Start();
+    id = submit(svc);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (!reg.crashed() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_TRUE(reg.crashed()) << "append " << crash.nth << " of " << appends
+                               << " never happened";
     svc.Stop(/*drain=*/false);
   }
+  reg.Reset();
 
   {
     service::SweepService svc(MakeOptions(tmp));
