@@ -253,6 +253,11 @@ struct BadSource {
   const char* source;
 };
 
+// Without a printer gtest shows the raw bytes of the two pointers, which the
+// loader's address randomisation changes on every run, so the discovered
+// ctest names would differ from one build to the next.
+void PrintTo(const BadSource& bad, std::ostream* os) { *os << bad.name; }
+
 class AssemblerErrors : public testing::TestWithParam<BadSource> {};
 
 TEST_P(AssemblerErrors, ReportsError) {
