@@ -2,15 +2,19 @@
 //
 // Measures how fast the cycle-level models themselves run -- simulated
 // cycles per wall second and committed instructions per wall second -- for
-// every core kind across window sizes and workloads, and compares the
-// incremental datapath evaluation (CoreConfig::datapath_eval =
-// kIncremental, the default) against the full-recompute reference path on
-// the largest Ultrascalar I configuration. The incremental path re-runs
-// only dirty register columns and never allocates in steady state, so its
-// advantage grows with n * L. At the largest window it also times every
-// core's bit-packed path against the incremental one (a differential guard:
-// both must agree), and the packed and checked paths under a fault plan
-// against clean packed.
+// every core kind across window sizes and workloads under the default
+// datapath evaluation (CoreConfig::datapath_eval = kIncremental: the
+// incremental loop on the three scalable cores, the packed loop on Ideal),
+// and compares the incremental evaluation against the full-recompute
+// reference path on the largest Ultrascalar I configuration. The
+// incremental path re-runs only dirty register columns and never allocates
+// in steady state, so its advantage grows with n * L. At the largest window
+// it also times every core's bit-packed path against a different loop (a
+// differential guard: both must agree) -- the incremental one on the
+// scalable cores, the full-recompute reference on Ideal -- the packed and
+// checked paths under a fault plan against clean packed, and the cost of
+// each squashed instruction on packed BubbleSort(32), BTFN against the
+// oracle predictor.
 //
 // Points are dispatched through runtime::SweepRunner (single worker by
 // default so per-point wall times are not corrupted by oversubscription);
@@ -142,13 +146,18 @@ int main(int argc, char** argv) {
     point.workload = suite[0].name;
     points.push_back(std::move(point));
   }
-  // --- Packed comparison: every kind at the largest window, incremental
-  // vs bit-packed word-parallel evaluation. Also a differential guard: the
-  // two paths must agree cycle-for-cycle. ---
+  // --- Packed comparison: every kind at the largest window, bit-packed
+  // word-parallel evaluation against a baseline loop. Also a differential
+  // guard: the two loops must agree cycle-for-cycle. Ideal's default already
+  // runs its packed loop, so its baseline is the full-recompute reference. ---
+  const auto baseline_eval = [](core::ProcessorKind kind) {
+    return kind == core::ProcessorKind::kIdeal
+               ? core::DatapathEval::kFullRecompute
+               : core::DatapathEval::kIncremental;
+  };
   const std::size_t packed_base = points.size();
   for (const auto kind : kinds) {
-    for (const auto eval :
-         {core::DatapathEval::kIncremental, core::DatapathEval::kPacked}) {
+    for (const auto eval : {baseline_eval(kind), core::DatapathEval::kPacked}) {
       runtime::SweepPoint point;
       point.kind = kind;
       point.config.window_size = big_n;
@@ -187,6 +196,35 @@ int main(int argc, char** argv) {
       point.program = suite[0].program;
       point.workload = suite[0].name;
       points.push_back(std::move(point));
+    }
+  }
+  // --- Wrong-path cost: packed BubbleSort(32) at the largest window under
+  // BTFN and under the oracle predictor, which fetches no wrong path. Each
+  // run repeats and the best wall time counts. The oracle's functional
+  // pre-run is cached before the sweep so no point pays for it. ---
+  constexpr int kWrongPathRepeats = 3;
+  const core::PredictorKind wrong_path_predictors[] = {
+      core::PredictorKind::kBtfn, core::PredictorKind::kOracle};
+  const auto sort =
+      std::make_shared<const isa::Program>(workloads::BubbleSort(32));
+  (void)core::FunctionalSimCache::Global().Get(*sort, L);
+  const std::size_t wrong_path_base = points.size();
+  for (const auto kind : kinds) {
+    for (const auto predictor : wrong_path_predictors) {
+      for (int r = 0; r < kWrongPathRepeats; ++r) {
+        runtime::SweepPoint point;
+        point.kind = kind;
+        point.config.window_size = big_n;
+        point.config.num_regs = L;
+        point.config.datapath_eval = core::DatapathEval::kPacked;
+        point.config.predictor = predictor;
+        point.config.mem.mode = memory::MemTimingMode::kMagic;
+        point.program = sort;
+        point.workload = predictor == core::PredictorKind::kOracle
+                             ? "sort(32)/oracle"
+                             : "sort(32)/btfn";
+        points.push_back(std::move(point));
+      }
     }
   }
 
@@ -253,46 +291,51 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Packed vs incremental, every kind at the largest window. ---
-  std::printf("--- n=%d L=%d, %s: packed vs incremental ---\n", big_n, L,
+  // --- Packed vs its baseline loop, every kind at the largest window. ---
+  std::printf("--- n=%d L=%d, %s: packed vs baseline ---\n", big_n, L,
               suite[0].name.c_str());
   struct PackedRow {
     core::ProcessorKind kind;
-    double incr_cps = 0.0;
+    core::DatapathEval baseline = core::DatapathEval::kIncremental;
+    double baseline_cps = 0.0;
     double packed_cps = 0.0;
     double speedup = 0.0;
   };
   std::vector<PackedRow> packed_rows;
   {
-    analysis::Table table({"kind", "incr Mcyc/s", "packed Mcyc/s", "speedup"});
+    analysis::Table table(
+        {"kind", "baseline", "base Mcyc/s", "packed Mcyc/s", "speedup"});
     for (std::size_t k = 0; k < std::size(kinds); ++k) {
-      const auto& pincr = outcomes[packed_base + 2 * k];
+      const auto& pbase = outcomes[packed_base + 2 * k];
       const auto& ppacked = outcomes[packed_base + 2 * k + 1];
-      // Differential guard: the packed path must agree with the
-      // incremental reference.
-      if (pincr.result.cycles != ppacked.result.cycles ||
-          pincr.result.committed != ppacked.result.committed ||
-          pincr.result.regs != ppacked.result.regs) {
+      // Differential guard: the packed path must agree with the baseline.
+      if (pbase.result.cycles != ppacked.result.cycles ||
+          pbase.result.committed != ppacked.result.committed ||
+          pbase.result.regs != ppacked.result.regs) {
         std::fprintf(stderr,
-                     "packed eval diverges from incremental on %s: %llu/%llu "
+                     "packed eval diverges from %s on %s: %llu/%llu "
                      "cycles, %llu/%llu committed\n",
+                     EvalName(pbase.config.datapath_eval),
                      std::string(core::ProcessorKindName(kinds[k])).c_str(),
-                     static_cast<unsigned long long>(pincr.result.cycles),
+                     static_cast<unsigned long long>(pbase.result.cycles),
                      static_cast<unsigned long long>(ppacked.result.cycles),
-                     static_cast<unsigned long long>(pincr.result.committed),
+                     static_cast<unsigned long long>(pbase.result.committed),
                      static_cast<unsigned long long>(
                          ppacked.result.committed));
         return 1;
       }
       PackedRow row;
       row.kind = kinds[k];
-      row.incr_cps = PerSecond(pincr.result.cycles, pincr.wall_seconds);
+      row.baseline = pbase.config.datapath_eval;
+      row.baseline_cps = PerSecond(pbase.result.cycles, pbase.wall_seconds);
       row.packed_cps = PerSecond(ppacked.result.cycles, ppacked.wall_seconds);
-      row.speedup = row.incr_cps > 0.0 ? row.packed_cps / row.incr_cps : 0.0;
+      row.speedup =
+          row.baseline_cps > 0.0 ? row.packed_cps / row.baseline_cps : 0.0;
       packed_rows.push_back(row);
       analysis::Table& r = table.Row();
       r.Cell(std::string(core::ProcessorKindName(kinds[k])));
-      r.Cell(row.incr_cps / 1e6, 3);
+      r.Cell(EvalName(row.baseline));
+      r.Cell(row.baseline_cps / 1e6, 3);
       r.Cell(row.packed_cps / 1e6, 3);
       r.Cell(row.speedup, 2);
     }
@@ -339,6 +382,80 @@ int main(int argc, char** argv) {
       r.Cell(row.checked_cps / 1e6, 3);
       r.Cell(static_cast<double>(row.injected), 0);
       r.Cell(static_cast<double>(row.divergences), 0);
+    }
+    std::printf("%s\n", table.ToString().c_str());
+  }
+
+  // --- Wrong-path cost: ns per squashed instruction = (BTFN wall - BTFN
+  // cycles x oracle ns per cycle) / squashed, on packed BubbleSort(32). ---
+  std::printf("--- n=%d L=%d, sort(32) packed: BTFN vs oracle predictor "
+              "(best of %d) ---\n",
+              big_n, L, kWrongPathRepeats);
+  struct WrongPathRow {
+    core::ProcessorKind kind;
+    double btfn_wall = 0.0;
+    std::uint64_t btfn_cycles = 0;
+    std::uint64_t squashed = 0;
+    double oracle_wall = 0.0;
+    std::uint64_t oracle_cycles = 0;
+    double oracle_ns_per_cycle = 0.0;
+    double ns_per_squashed = 0.0;
+  };
+  std::vector<WrongPathRow> wrong_path_rows;
+  {
+    const auto best = [&](std::size_t first) {
+      const runtime::SweepOutcome* fastest = &outcomes[first];
+      for (int r = 1; r < kWrongPathRepeats; ++r) {
+        const auto& o = outcomes[first + static_cast<std::size_t>(r)];
+        if (o.wall_seconds < fastest->wall_seconds) fastest = &o;
+      }
+      return fastest;
+    };
+    analysis::Table table({"kind", "BTFN ms", "BTFN cyc", "squashed",
+                           "oracle ms", "oracle cyc", "oracle ns/cyc",
+                           "ns/squashed"});
+    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+      const std::size_t first = wrong_path_base + 2 * kWrongPathRepeats * k;
+      const runtime::SweepOutcome& btfn = *best(first);
+      const runtime::SweepOutcome& oracle = *best(first + kWrongPathRepeats);
+      if (!btfn.result.halted || !oracle.result.halted ||
+          btfn.result.regs != oracle.result.regs ||
+          btfn.result.committed != oracle.result.committed) {
+        std::fprintf(stderr,
+                     "BTFN and oracle runs disagree on %s: %llu/%llu "
+                     "committed\n",
+                     std::string(core::ProcessorKindName(kinds[k])).c_str(),
+                     static_cast<unsigned long long>(btfn.result.committed),
+                     static_cast<unsigned long long>(oracle.result.committed));
+        return 1;
+      }
+      WrongPathRow row;
+      row.kind = kinds[k];
+      row.btfn_wall = btfn.wall_seconds;
+      row.btfn_cycles = btfn.result.cycles;
+      row.squashed = btfn.result.stats.squashed_instructions;
+      row.oracle_wall = oracle.wall_seconds;
+      row.oracle_cycles = oracle.result.cycles;
+      row.oracle_ns_per_cycle =
+          row.oracle_cycles > 0
+              ? 1e9 * row.oracle_wall / static_cast<double>(row.oracle_cycles)
+              : 0.0;
+      row.ns_per_squashed =
+          row.squashed > 0
+              ? (1e9 * row.btfn_wall - static_cast<double>(row.btfn_cycles) *
+                                           row.oracle_ns_per_cycle) /
+                    static_cast<double>(row.squashed)
+              : 0.0;
+      wrong_path_rows.push_back(row);
+      analysis::Table& r = table.Row();
+      r.Cell(std::string(core::ProcessorKindName(row.kind)));
+      r.Cell(1e3 * row.btfn_wall, 2);
+      r.Cell(row.btfn_cycles);
+      r.Cell(row.squashed);
+      r.Cell(1e3 * row.oracle_wall, 2);
+      r.Cell(row.oracle_cycles);
+      r.Cell(row.oracle_ns_per_cycle, 0);
+      r.Cell(row.ns_per_squashed, 1);
     }
     std::printf("%s\n", table.ToString().c_str());
   }
@@ -454,7 +571,8 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < packed_rows.size(); ++k) {
     const PackedRow& row = packed_rows[k];
     out << "    {\"kind\": \"" << core::ProcessorKindName(row.kind)
-        << "\", \"incremental_cycles_per_sec\": " << row.incr_cps
+        << "\", \"baseline_eval\": \"" << EvalName(row.baseline)
+        << "\", \"baseline_cycles_per_sec\": " << row.baseline_cps
         << ", \"packed_cycles_per_sec\": " << row.packed_cps
         << ", \"speedup\": " << row.speedup << "}"
         << (k + 1 < packed_rows.size() ? "," : "") << "\n";
@@ -473,6 +591,23 @@ int main(int argc, char** argv) {
         << ", \"faults_injected\": " << row.injected
         << ", \"divergences_detected\": " << row.divergences << "}"
         << (k + 1 < fault_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]},\n";
+  out << "  \"wrong_path\": {\"n\": " << big_n << ", \"L\": " << L
+      << ", \"workload\": \"sort(32)\", \"eval\": \"packed\", "
+         "\"repeats\": "
+      << kWrongPathRepeats << ", \"kinds\": [\n";
+  for (std::size_t k = 0; k < wrong_path_rows.size(); ++k) {
+    const WrongPathRow& row = wrong_path_rows[k];
+    out << "    {\"kind\": \"" << core::ProcessorKindName(row.kind)
+        << "\", \"btfn_wall_seconds\": " << row.btfn_wall
+        << ", \"btfn_cycles\": " << row.btfn_cycles
+        << ", \"squashed\": " << row.squashed
+        << ", \"oracle_wall_seconds\": " << row.oracle_wall
+        << ", \"oracle_cycles\": " << row.oracle_cycles
+        << ", \"oracle_ns_per_cycle\": " << row.oracle_ns_per_cycle
+        << ", \"ns_per_squashed\": " << row.ns_per_squashed << "}"
+        << (k + 1 < wrong_path_rows.size() ? "," : "") << "\n";
   }
   out << "  ]},\n";
   out << "  \"ensemble\": {\"points\": " << ens_points.size()

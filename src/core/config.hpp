@@ -47,9 +47,13 @@ enum class FetchMode : std::uint8_t {
 /// the same function and produce identical RunResults on clean inputs (the
 /// differential tests assert this). There is one fast path (kPacked), one
 /// plain reference (kFullRecompute), the incremental default, and the fast
-/// path with a self-checking layer (kChecked). See docs/runtime.md.
+/// path with a self-checking layer (kChecked). The Ideal core has no
+/// incremental datapath and ignores fault plans: it runs its plain
+/// reference loop under kFullRecompute and its packed loop under every
+/// other mode. See docs/runtime.md.
 enum class DatapathEval : std::uint8_t {
-  kIncremental,    // Dirty-set propagation into persistent state (default).
+  kIncremental,    // Dirty-set propagation into persistent state (default;
+                   // packed on Ideal).
   kFullRecompute,  // Rebuild-everything reference path.
   /// kPacked plus a DatapathChecker: every checker_stride cycles (eagerly
   /// on cycles with hazardous injected faults) each live station's cached
@@ -104,6 +108,8 @@ struct CoreConfig {
   /// identical on clean inputs; kFullRecompute exists as the reference for
   /// the differential tests and the throughput benchmark's baseline, and
   /// kChecked adds the self-checking layer used by the fault experiments.
+  /// The default runs the incremental loop on the three scalable cores and
+  /// the packed loop on Ideal.
   DatapathEval datapath_eval = DatapathEval::kIncremental;
 
   /// Cross-validation cadence for datapath_eval = kChecked: the checker

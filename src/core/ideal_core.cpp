@@ -39,14 +39,16 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
 }  // namespace
 
 RunResult IdealCore::Run(const isa::Program& program) {
-  // kPacked always takes the word-parallel loop: telemetry, store
-  // forwarding, and checkpointing are modeled inside it, so there is no
-  // configuration that falls back to the reference loop (results are
-  // byte-identical either way -- see docs/runtime.md).
-  if (config_.datapath_eval == DatapathEval::kPacked) {
-    return RunPackedIdeal(config_, program);
+  // Ideal has one fast loop and one plain reference. Every mode except
+  // kFullRecompute takes the word-parallel loop (the rename table has no
+  // incremental datapath, and Ideal ignores fault plans, so kIncremental
+  // and kChecked have nothing of their own to run); telemetry, store
+  // forwarding and checkpointing are modeled inside it, and results and
+  // checkpoints are byte-identical to the reference loop's.
+  if (config_.datapath_eval == DatapathEval::kFullRecompute) {
+    return RunReference(program);
   }
-  return RunReference(program);
+  return RunPackedIdeal(config_, program);
 }
 
 RunResult IdealCore::RunReference(const isa::Program& program) {

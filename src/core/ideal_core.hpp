@@ -31,11 +31,11 @@ class IdealCore final : public Processor {
     return ProcessorKind::kIdeal;
   }
 
-  /// The byte-lane reference cycle loop (every DatapathEval except the
-  /// packed fast path). Exposed for the differential tests.
+ private:
+  /// The plain reference cycle loop, run under DatapathEval::kFullRecompute
+  /// only; every other mode runs the packed loop in ideal_core.cpp.
   [[nodiscard]] RunResult RunReference(const isa::Program& program);
 
- private:
   CoreConfig config_;
 };
 

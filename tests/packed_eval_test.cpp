@@ -80,8 +80,8 @@ void ExpectAllEvalPathsAgree(const isa::Program& program, CoreConfig cfg) {
       ExpectSameRun(incr, full);
     }
     {
-      SCOPED_TRACE("packed vs incremental");
-      ExpectSameRun(packed, incr);
+      SCOPED_TRACE("packed vs full");
+      ExpectSameRun(packed, full);
     }
   }
 }
@@ -215,11 +215,11 @@ TEST(PackedEvalFallbackFree, StoreForwardingRunsPackedUnchanged) {
     cfg.window_size = 80;
     cfg.store_forwarding = true;
     cfg.mem.mode = memory::MemTimingMode::kBandwidthLimited;
-    cfg.datapath_eval = DatapathEval::kIncremental;
-    const RunResult incr = core::MakeProcessor(kind, cfg)->Run(program);
+    cfg.datapath_eval = DatapathEval::kFullRecompute;
+    const RunResult full = core::MakeProcessor(kind, cfg)->Run(program);
     cfg.datapath_eval = DatapathEval::kPacked;
     const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
-    ExpectSameRun(packed, incr);
+    ExpectSameRun(packed, full);
     EXPECT_GT(packed.stats.forwarded_loads, 0u);
   }
 }
@@ -244,7 +244,7 @@ TEST(PackedEvalFallbackFree, PipelinedDatapathRunsPackedUnchanged) {
 
 // Checkpoint/restore under packed evaluation: save mid-run, restore, and
 // require the resumed run to be indistinguishable from the uninterrupted
-// packed run — which itself must match the incremental run.
+// packed run — which itself must match the full-recompute run.
 TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
   const auto program = workloads::RandomForwardDag(
       {.num_blocks = 60, .block_size = 6, .seed = 9});
@@ -254,12 +254,12 @@ TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
     cfg.window_size = 96;
     cfg.predictor = core::PredictorKind::kTwoBit;
     cfg.mem.mode = memory::MemTimingMode::kMagic;
-    cfg.datapath_eval = DatapathEval::kIncremental;
-    const RunResult incr = core::MakeProcessor(kind, cfg)->Run(program);
+    cfg.datapath_eval = DatapathEval::kFullRecompute;
+    const RunResult full = core::MakeProcessor(kind, cfg)->Run(program);
     cfg.datapath_eval = DatapathEval::kPacked;
     const auto proc = core::MakeProcessor(kind, cfg);
     const RunResult packed = proc->Run(program);
-    ExpectSameRun(packed, incr);
+    ExpectSameRun(packed, full);
     ASSERT_TRUE(packed.halted);
     ASSERT_GT(packed.cycles, 2u);
     for (const std::uint64_t cycle :

@@ -1,6 +1,7 @@
 // Tests for the persistence layer: deterministic serialization, versioned
 // checkpoint files, crash-safe journals, checkpoint/restore cycle-exactness
 // on all four cores, sweep resume byte-identity, and repro bundles.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -561,6 +562,67 @@ TEST(Checkpoint, ExactWithWarmHierarchyAndInFlightMisses) {
                                       (3 * base.cycles) / 4}) {
       if (cycle == 0 || cycle >= base.cycles) continue;
       ExpectCheckpointExact(kind, cfg, program, base, cycle);
+    }
+  }
+}
+
+// Ideal runs its plain reference loop under kFullRecompute and its packed
+// loop under every other mode, the default included. Both keep the same
+// canonical state, so their checkpoints must be interchangeable: a repro
+// bundle written while the default still ran the reference loop carries
+// the default's config fingerprint over the reference loop's state bytes,
+// and must resume on the packed loop to the uninterrupted run's result.
+TEST(Checkpoint, IdealCheckpointsAreInterchangeableBetweenItsLoops) {
+  struct Kernel {
+    const char* name;
+    isa::Program program;
+  };
+  const Kernel kernels[] = {{"BubbleSort(32)", workloads::BubbleSort(32)},
+                            {"MemCopy(240)", workloads::MemCopy(240)},
+                            {"DotProduct(160)", workloads::DotProduct(160)}};
+  // One run per loop captures every checkpoint, so the O(n^2)-per-cycle
+  // reference loop runs each program once. Magic memory keeps those runs
+  // short and still leaves loads and stores in flight at capture points.
+  const auto capture_every = [](const CoreConfig& cfg,
+                                const isa::Program& program,
+                                std::uint64_t every) {
+    std::vector<persist::Checkpoint> captured;
+    persist::CheckpointControl control;
+    control.save_every = every;
+    control.sink = [&captured](persist::Checkpoint&& c) {
+      captured.push_back(std::move(c));
+    };
+    CoreConfig with_control = cfg;
+    with_control.checkpoint = &control;
+    (void)core::MakeProcessor(ProcessorKind::kIdeal, with_control)
+        ->Run(program);
+    return captured;
+  };
+  for (const Kernel& k : kernels) {
+    for (const int n : {64, 256}) {
+      SCOPED_TRACE(std::string(k.name) + " n=" + std::to_string(n));
+      CoreConfig cfg;
+      cfg.window_size = n;
+      cfg.mem.mode = memory::MemTimingMode::kMagic;
+      CoreConfig reference_cfg = cfg;
+      reference_cfg.datapath_eval = core::DatapathEval::kFullRecompute;
+      const auto proc = core::MakeProcessor(ProcessorKind::kIdeal, cfg);
+      const core::RunResult base = proc->Run(k.program);
+      ASSERT_TRUE(base.halted);
+      const std::uint64_t every = std::max<std::uint64_t>(1, base.cycles / 4);
+      const auto saved = capture_every(cfg, k.program, every);
+      auto from_reference = capture_every(reference_cfg, k.program, every);
+      ASSERT_GE(saved.size(), 3u);
+      ASSERT_EQ(from_reference.size(), saved.size());
+      for (std::size_t i = 0; i < saved.size(); ++i) {
+        SCOPED_TRACE("checkpoint cycle " +
+                     std::to_string(saved[i].header.cycle));
+        EXPECT_EQ(from_reference[i].header.cycle, saved[i].header.cycle);
+        EXPECT_EQ(from_reference[i].state, saved[i].state);
+        from_reference[i].header = saved[i].header;
+        ExpectSameResult(proc->RestoreCheckpoint(k.program, from_reference[i]),
+                         base);
+      }
     }
   }
 }

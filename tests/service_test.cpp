@@ -555,7 +555,12 @@ TEST(SweepService, DrainStopFinishesInFlightAndRequeuesOnRestart) {
     const service::SubmitReply admitted = client.Submit(req);
     ASSERT_EQ(admitted.status, service::AdmitStatus::kAccepted);
     spin_id = admitted.request_id;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Wait until the executor picked the spin up, so the drain finds it in
+    // flight rather than queued.
+    for (int i = 0; i < 200 && svc.queue_depth() != 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(svc.queue_depth(), 0u);
     // Drain: admissions stop, the spin gets its 0.3 s budget, then the
     // escalation cancels it — without a done record, so it survives.
     svc.Stop(/*drain=*/true);

@@ -3,6 +3,7 @@
 // sizes, dominance relations, and the 3-D bounds.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "vlsi/vlsi.hpp"
@@ -86,6 +87,22 @@ struct RegimeCase {
                            // M-dominated regime within the sweep.
 };
 
+std::string RegimeName(BandwidthRegime regime) {
+  switch (regime) {
+    case BandwidthRegime::kSqrtMinus: return "SqrtMinus";
+    case BandwidthRegime::kSqrt: return "Sqrt";
+    case BandwidthRegime::kSqrtPlus: return "SqrtPlus";
+    case BandwidthRegime::kLinear: return "Linear";
+    default: return "Constant";
+  }
+}
+
+// Without a printer gtest shows the struct's raw bytes, padding included,
+// so the discovered ctest names would carry whatever the padding held.
+void PrintTo(const RegimeCase& c, std::ostream* os) {
+  *os << RegimeName(c.regime);
+}
+
 class WireScaling : public testing::TestWithParam<RegimeCase> {};
 
 TEST_P(WireScaling, UsiWireExponentMatchesTheory) {
@@ -119,15 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
         RegimeCase{BandwidthRegime::kSqrtPlus, 0.75, 0.75, 60.0},
         // Full bandwidth: everything is Theta(n).
         RegimeCase{BandwidthRegime::kLinear, 1.0, 1.0}),
-    [](const auto& info) {
-      switch (info.param.regime) {
-        case BandwidthRegime::kSqrtMinus: return std::string("SqrtMinus");
-        case BandwidthRegime::kSqrt: return std::string("Sqrt");
-        case BandwidthRegime::kSqrtPlus: return std::string("SqrtPlus");
-        case BandwidthRegime::kLinear: return std::string("Linear");
-        default: return std::string("Constant");
-      }
-    });
+    [](const auto& info) { return RegimeName(info.param.regime); });
 
 TEST(Figure11, UsiAreaGrowsLinearlyInN) {
   // Area Theta(n L^2) for small M: exponent 1 in n.
