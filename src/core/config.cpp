@@ -50,53 +50,13 @@ void CoreConfig::Validate(bool for_hybrid) const {
          "corrupt the packed path's cached station arguments, which the "
          "incremental and full-recompute paths do not keep)");
   }
-  const auto check_level = [&fail](const memory::CacheLevelConfig& level,
-                                   const char* name) {
-    if (!level.enabled) return;
-    const auto field = [&name](const char* f) {
-      return std::string("mem.hierarchy.") + name + "." + f;
-    };
-    if (level.sets < 1 || (level.sets & (level.sets - 1)) != 0) {
-      fail(field("sets") + " must be a positive power of two, got " +
-           std::to_string(level.sets));
-    }
-    if (level.ways < 1) {
-      fail(field("ways") + " must be >= 1, got " + std::to_string(level.ways));
-    }
-    if (level.block_bytes < 4 ||
-        (level.block_bytes & (level.block_bytes - 1)) != 0) {
-      fail(field("block_bytes") + " must be a power of two >= 4, got " +
-           std::to_string(level.block_bytes));
-    }
-    if (level.hit_latency < 1) {
-      fail(field("hit_latency") + " must be >= 1, got " +
-           std::to_string(level.hit_latency));
-    }
-    if (level.miss_latency < 1) {
-      fail(field("miss_latency") + " must be >= 1, got " +
-           std::to_string(level.miss_latency));
-    }
-  };
-  check_level(mem.hierarchy.l1i, "l1i");
-  check_level(mem.hierarchy.l1d, "l1d");
-  check_level(mem.hierarchy.l2, "l2");
-  if (mem.hierarchy.prefetch.depth < 0) {
-    fail("mem.hierarchy.prefetch.depth must be >= 0, got " +
-         std::to_string(mem.hierarchy.prefetch.depth));
+  if (const std::string error = memory::CacheGeometryError(mem);
+      !error.empty()) {
+    fail(error);
   }
-  if (mem.hierarchy.prefetch.depth > 0) {
-    if (!mem.hierarchy.DataPathEnabled()) {
-      fail("mem.hierarchy.prefetch.depth > 0 requires an enabled L1D or L2 "
-           "level to prefetch into");
-    }
-    if (mem.hierarchy.prefetch.table_entries < 1) {
-      fail("mem.hierarchy.prefetch.table_entries must be >= 1, got " +
-           std::to_string(mem.hierarchy.prefetch.table_entries));
-    }
-    if (mem.hierarchy.prefetch.fill_latency < 1) {
-      fail("mem.hierarchy.prefetch.fill_latency must be >= 1, got " +
-           std::to_string(mem.hierarchy.prefetch.fill_latency));
-    }
+  if (mem.hierarchy.prefetch.depth > 0 && !mem.hierarchy.DataPathEnabled()) {
+    fail("mem.hierarchy.prefetch.depth > 0 requires an enabled L1D or L2 "
+         "level to prefetch into");
   }
   if (mem.hierarchy.DataPathEnabled() && mem.cluster_cache_leaves > 0) {
     fail("mem.hierarchy L1D/L2 and cluster caches are mutually exclusive "

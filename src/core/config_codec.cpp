@@ -20,8 +20,7 @@ void EncodeCacheLevel(persist::Encoder& e,
   e.I32(level.miss_latency);
 }
 
-memory::CacheLevelConfig DecodeCacheLevel(persist::Decoder& d,
-                                          const char* name) {
+memory::CacheLevelConfig DecodeCacheLevel(persist::Decoder& d) {
   memory::CacheLevelConfig level;
   level.enabled = d.Bool();
   level.sets = d.I32();
@@ -29,23 +28,6 @@ memory::CacheLevelConfig DecodeCacheLevel(persist::Decoder& d,
   level.block_bytes = d.I32();
   level.hit_latency = d.I32();
   level.miss_latency = d.I32();
-  if (!level.enabled) return level;
-  // Mirror CoreConfig::Validate: corrupt input must be a FormatError, never
-  // an abort in the CacheLevelModel constructor's geometry asserts.
-  const auto bad = [&name](const char* what) {
-    return persist::FormatError(std::string("bad cache level ") + name + " " +
-                                what);
-  };
-  if (level.sets < 1 || (level.sets & (level.sets - 1)) != 0) {
-    throw bad("sets");
-  }
-  if (level.ways < 1) throw bad("ways");
-  if (level.block_bytes < 4 ||
-      (level.block_bytes & (level.block_bytes - 1)) != 0) {
-    throw bad("block bytes");
-  }
-  if (level.hit_latency < 1) throw bad("hit latency");
-  if (level.miss_latency < 1) throw bad("miss latency");
   return level;
 }
 
@@ -98,24 +80,17 @@ memory::MemoryConfig DecodeMemConfig(persist::Decoder& d) {
   mem.cluster_cache_leaves = d.I32();
   mem.cluster_cache_words = d.I32();
   mem.cluster_cache_hit_latency = d.I32();
-  mem.hierarchy.l1i = DecodeCacheLevel(d, "l1i");
-  mem.hierarchy.l1d = DecodeCacheLevel(d, "l1d");
-  mem.hierarchy.l2 = DecodeCacheLevel(d, "l2");
+  mem.hierarchy.l1i = DecodeCacheLevel(d);
+  mem.hierarchy.l1d = DecodeCacheLevel(d);
+  mem.hierarchy.l2 = DecodeCacheLevel(d);
   mem.hierarchy.prefetch.depth = d.I32();
   mem.hierarchy.prefetch.table_entries = d.I32();
   mem.hierarchy.prefetch.fill_latency = d.I32();
-  if (mem.hierarchy.prefetch.depth < 0) {
-    throw persist::FormatError("bad prefetch depth");
-  }
-  if (mem.hierarchy.prefetch.depth > 0) {
-    // The StridePrefetcher constructor asserts these; corrupt input must be
-    // a FormatError, never an abort.
-    if (mem.hierarchy.prefetch.table_entries < 1) {
-      throw persist::FormatError("bad prefetch table size");
-    }
-    if (mem.hierarchy.prefetch.fill_latency < 1) {
-      throw persist::FormatError("bad prefetch fill latency");
-    }
+  // The cache models assert their geometry: corrupt input must be a
+  // FormatError, never an abort.
+  if (const std::string error = memory::CacheGeometryError(mem);
+      !error.empty()) {
+    throw persist::FormatError("bad memory config: " + error);
   }
   return mem;
 }

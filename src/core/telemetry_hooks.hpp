@@ -195,20 +195,21 @@ class CoreTelemetry {
   void FinalizeMemory(RunStats& stats, const memory::MemorySystem& mem,
                       const FetchEngine& fetch) {
     MemHierarchyCounters& h = stats.mem_hierarchy;
-    if (const memory::CacheLevelStats* l1d = mem.l1d_stats()) {
-      h.l1d_hits = l1d->hits;
-      h.l1d_misses = l1d->misses;
-      h.l1d_writebacks = l1d->writebacks;
-      h.prefetch_fills = l1d->prefetch_fills;
-      h.prefetch_useful = l1d->prefetch_hits;
+    const memory::CacheLevelModel* l1d = mem.cache(memory::CacheRole::kL1D);
+    if (l1d != nullptr) {
+      h.l1d_hits = l1d->stats().hits;
+      h.l1d_misses = l1d->stats().misses;
+      h.l1d_writebacks = l1d->stats().writebacks;
+      h.prefetch_fills = l1d->stats().prefetch_fills;
+      h.prefetch_useful = l1d->stats().prefetch_hits;
     }
-    if (const memory::CacheLevelStats* l2 = mem.l2_stats()) {
-      h.l2_hits = l2->hits;
-      h.l2_misses = l2->misses;
-      h.l2_writebacks = l2->writebacks;
-      if (mem.l1d_stats() == nullptr) {
-        h.prefetch_fills = l2->prefetch_fills;
-        h.prefetch_useful = l2->prefetch_hits;
+    if (const memory::CacheLevelModel* l2 = mem.cache(memory::CacheRole::kL2)) {
+      h.l2_hits = l2->stats().hits;
+      h.l2_misses = l2->stats().misses;
+      h.l2_writebacks = l2->stats().writebacks;
+      if (l1d == nullptr) {
+        h.prefetch_fills = l2->stats().prefetch_fills;
+        h.prefetch_useful = l2->stats().prefetch_hits;
       }
     }
     h.prefetch_issued = mem.prefetch_issued();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace ultra::memory {
 
@@ -18,91 +19,131 @@ int Log2Exact(int value) {
 }  // namespace
 
 CacheLevelModel::CacheLevelModel(const CacheLevelConfig& config)
-    : config_(config), block_shift_(Log2Exact(config.block_bytes)) {
-  assert(config_.sets >= 1 && (config_.sets & (config_.sets - 1)) == 0);
-  assert(config_.ways >= 1);
-  assert(config_.block_bytes >= 4 &&
+    : CacheLevelModel(config, /*banks=*/1,
+                      /*ports_per_bank=*/std::numeric_limits<int>::max()) {}
+
+CacheLevelModel::CacheLevelModel(const CacheConfig& config)
+    : CacheLevelModel(CacheLevelConfig{.enabled = true,
+                                       .sets = config.sets_per_bank,
+                                       .ways = config.ways,
+                                       .block_bytes = config.line_bytes,
+                                       .hit_latency = config.hit_latency,
+                                       .miss_latency = config.miss_penalty},
+                      config.num_banks, config.ports_per_bank) {}
+
+CacheLevelModel::CacheLevelModel(const CacheLevelConfig& config, int banks,
+                                 int ports_per_bank)
+    : config_(config),
+      banks_(banks),
+      ports_per_bank_(ports_per_bank),
+      block_shift_(Log2Exact(config.block_bytes)),
+      rows_(static_cast<std::uint64_t>(banks) *
+            static_cast<std::uint64_t>(config.sets)) {
+  // Each role's geometry rules (CacheGeometryError, memory_system.hpp) are
+  // checked before any instance is built; these are what the model needs.
+  assert(banks_ >= 1 && ports_per_bank_ >= 1);
+  assert(config_.sets >= 1 && config_.ways >= 1);
+  assert(config_.block_bytes >= 1 &&
          (config_.block_bytes & (config_.block_bytes - 1)) == 0);
-  lines_.assign(static_cast<std::size_t>(config_.sets) *
-                    static_cast<std::size_t>(config_.ways),
-                Line{});
+  lines_.assign(rows_ * static_cast<std::uint64_t>(config_.ways), Line{});
+  ports_used_.assign(static_cast<std::size_t>(banks_), 0);
 }
 
-int CacheLevelModel::SetOf(isa::Word byte_address) const {
-  return static_cast<int>((byte_address >> block_shift_) &
-                          static_cast<isa::Word>(config_.sets - 1));
+int CacheLevelModel::BankOf(isa::Word byte_address) const {
+  return static_cast<int>((byte_address >> block_shift_) %
+                          static_cast<isa::Word>(banks_));
 }
 
-std::uint64_t CacheLevelModel::TagOf(isa::Word byte_address) const {
-  return static_cast<std::uint64_t>(byte_address >> block_shift_) /
-         static_cast<std::uint64_t>(config_.sets);
+std::pair<std::size_t, std::uint64_t> CacheLevelModel::RowOf(
+    isa::Word byte_address) const {
+  const std::uint64_t block = byte_address >> block_shift_;
+  return {static_cast<std::size_t>(block % rows_) *
+              static_cast<std::size_t>(config_.ways),
+          block / rows_};
+}
+
+std::size_t CacheLevelModel::Find(isa::Word byte_address) const {
+  const auto [first, tag] = RowOf(byte_address);
+  const std::size_t end = first + static_cast<std::size_t>(config_.ways);
+  for (std::size_t i = first; i < end; ++i) {
+    if (lines_[i].valid && lines_[i].tag == tag) return i;
+  }
+  return kAbsent;
+}
+
+bool CacheLevelModel::ClaimPort(isa::Word byte_address) {
+  int& used = ports_used_[static_cast<std::size_t>(BankOf(byte_address))];
+  if (used >= ports_per_bank_) {
+    ++stats_.bank_conflicts;
+    return false;
+  }
+  ++used;
+  return true;
+}
+
+void CacheLevelModel::NewCycle() {
+  std::fill(ports_used_.begin(), ports_used_.end(), 0);
 }
 
 CacheLevelModel::LookupResult CacheLevelModel::Lookup(isa::Word byte_address,
                                                       bool is_store) {
-  const int set = SetOf(byte_address);
-  const std::uint64_t tag = TagOf(byte_address);
-  for (int way = 0; way < config_.ways; ++way) {
-    Line& line = lines_[LineIndex(set, way)];
-    if (line.valid && line.tag == tag) {
-      ++stats_.hits;
-      LookupResult result;
-      result.hit = true;
-      result.was_prefetched = line.prefetched;
-      if (line.prefetched) {
-        ++stats_.prefetch_hits;
-        line.prefetched = false;  // Count each prefetched line once.
-      }
-      if (is_store) line.dirty = true;
-      line.lru = ++access_counter_;
-      return result;
-    }
+  const std::size_t i = Find(byte_address);
+  if (i == kAbsent) {
+    ++stats_.misses;
+    return LookupResult{};
   }
-  ++stats_.misses;
-  return LookupResult{};
+  Line& line = lines_[i];
+  ++stats_.hits;
+  const LookupResult result{.hit = true, .was_prefetched = line.prefetched};
+  if (line.prefetched) {
+    ++stats_.prefetch_hits;
+    line.prefetched = false;  // Count each prefetched line once.
+  }
+  if (is_store) line.dirty = true;
+  line.lru = ++access_counter_;
+  return result;
 }
 
 bool CacheLevelModel::Fill(isa::Word byte_address, bool dirty,
                            bool prefetched) {
-  const int set = SetOf(byte_address);
-  const std::uint64_t tag = TagOf(byte_address);
-  int victim = 0;
-  for (int way = 0; way < config_.ways; ++way) {
-    Line& line = lines_[LineIndex(set, way)];
-    if (line.valid && line.tag == tag) {
-      // Already present (e.g. a prefetch raced a demand fill): just update.
-      if (dirty) line.dirty = true;
-      line.lru = ++access_counter_;
-      return false;
-    }
-    if (!line.valid) {
-      victim = way;
-    } else if (lines_[LineIndex(set, victim)].valid &&
-               line.lru < lines_[LineIndex(set, victim)].lru) {
-      victim = way;
-    }
+  if (const std::size_t i = Find(byte_address); i != kAbsent) {
+    // Already present (e.g. a prefetch raced a demand fill): just update.
+    if (dirty) lines_[i].dirty = true;
+    lines_[i].lru = ++access_counter_;
+    return false;
   }
-  Line& line = lines_[LineIndex(set, victim)];
+  const auto [first, tag] = RowOf(byte_address);
+  const std::size_t end = first + static_cast<std::size_t>(config_.ways);
+  std::size_t victim = first;
+  for (std::size_t i = first; i < end; ++i) {
+    if (!lines_[i].valid) {
+      victim = i;
+      break;
+    }
+    if (lines_[i].lru < lines_[victim].lru) victim = i;
+  }
+  Line& line = lines_[victim];
   const bool writeback = line.valid && line.dirty;
   if (line.valid) ++stats_.evictions;
   if (writeback) ++stats_.writebacks;
-  line.valid = true;
-  line.tag = tag;
-  line.dirty = dirty;
-  line.prefetched = prefetched;
-  line.lru = ++access_counter_;
+  line = Line{.tag = tag,
+              .valid = true,
+              .dirty = dirty,
+              .prefetched = prefetched,
+              .lru = ++access_counter_};
   if (prefetched) ++stats_.prefetch_fills;
   return writeback;
 }
 
 bool CacheLevelModel::Contains(isa::Word byte_address) const {
-  const int set = SetOf(byte_address);
-  const std::uint64_t tag = TagOf(byte_address);
-  for (int way = 0; way < config_.ways; ++way) {
-    const Line& line = lines_[LineIndex(set, way)];
-    if (line.valid && line.tag == tag) return true;
-  }
-  return false;
+  return Find(byte_address) != kAbsent;
+}
+
+void CacheLevelModel::Invalidate(isa::Word byte_address) {
+  const std::size_t i = Find(byte_address);
+  if (i == kAbsent) return;
+  lines_[i].valid = false;
+  ++stats_.invalidations;
 }
 
 void CacheLevelModel::Flush() {
@@ -119,6 +160,8 @@ void CacheLevelModel::SaveState(persist::Encoder& e) const {
     e.Bool(line.prefetched);
     e.U64(line.lru);
   }
+  e.U32(static_cast<std::uint32_t>(ports_used_.size()));
+  for (const int used : ports_used_) e.I32(used);
   e.U64(access_counter_);
   e.U64(stats_.hits);
   e.U64(stats_.misses);
@@ -126,11 +169,12 @@ void CacheLevelModel::SaveState(persist::Encoder& e) const {
   e.U64(stats_.writebacks);
   e.U64(stats_.prefetch_fills);
   e.U64(stats_.prefetch_hits);
+  e.U64(stats_.bank_conflicts);
+  e.U64(stats_.invalidations);
 }
 
 void CacheLevelModel::RestoreState(persist::Decoder& d) {
-  const std::uint32_t count = d.U32();
-  if (count != lines_.size()) {
+  if (d.U32() != lines_.size()) {
     throw persist::FormatError("cache level geometry mismatch");
   }
   for (Line& line : lines_) {
@@ -140,6 +184,10 @@ void CacheLevelModel::RestoreState(persist::Decoder& d) {
     line.prefetched = d.Bool();
     line.lru = d.U64();
   }
+  if (d.U32() != ports_used_.size()) {
+    throw persist::FormatError("cache bank count mismatch");
+  }
+  for (int& used : ports_used_) used = d.I32();
   access_counter_ = d.U64();
   stats_.hits = d.U64();
   stats_.misses = d.U64();
@@ -147,6 +195,8 @@ void CacheLevelModel::RestoreState(persist::Decoder& d) {
   stats_.writebacks = d.U64();
   stats_.prefetch_fills = d.U64();
   stats_.prefetch_hits = d.U64();
+  stats_.bank_conflicts = d.U64();
+  stats_.invalidations = d.U64();
 }
 
 StridePrefetcher::StridePrefetcher(const PrefetchConfig& config)

@@ -1,28 +1,45 @@
-// Multi-level cache hierarchy models (ROADMAP item 3).
+// The one cache model, and the stride prefetcher that feeds it.
 //
-// The paper's memory model stops at the M(n) bandwidth knob and one banked
-// cache; this file adds the axes the Performance-Optimum Superscalar
-// Architecture study (arxiv 1204.2809) sweeps: per-level size, associativity,
-// block size, hit/miss latency, write-back with dirty eviction, and a stride
-// prefetcher between levels. Like InterleavedCache, every model here is
-// timing-only: architectural data always lives in the BackingStore, so the
-// correctness tests keep a single source of truth.
+// CacheLevelModel is a set-associative array of blocks with LRU
+// replacement, optionally split into line-interleaved banks that accept a
+// fixed number of accesses per cycle. Every cache of memory blocks in the
+// simulator is an instance of it, in one of five roles:
 //
-//  * CacheLevelModel  -- one set-associative level (L1I, L1D, or L2).
-//  * StridePrefetcher -- region-keyed stride detector feeding L1 fills.
+//  * L1I -- owned by core::FetchEngine;
+//  * L1D and L2 -- the axes of the Performance-Optimum Superscalar
+//    Architecture study (arxiv 1204.2809): size, associativity, block size,
+//    hit/miss latency, dirty eviction;
+//  * Section 7's "cache distributed among the clusters" -- one fully
+//    associative instance of word-sized blocks per cluster;
+//  * Section 2's interleaved, banked data cache at the far side of the
+//    fat-tree or butterfly network.
 //
-// MemorySystem composes L1D + L2 + prefetcher in front of the existing
-// kMagic / kBandwidthLimited / kFatTree / kButterfly backing tier;
-// core::FetchEngine owns an L1I instance for instruction fetch.
+// The model itself has no write policy: the code that owns an instance
+// applies the policy of the role it plays (MemorySystem for the last four).
+// Every instance is timing-only: architectural data always lives in the
+// BackingStore, so the correctness tests keep a single source of truth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "isa/opcode.hpp"
 #include "persist/serial.hpp"
 
 namespace ultra::memory {
+
+/// Section 2's banked cache (MemoryConfig::cache).
+struct CacheConfig {
+  int num_banks = 8;      // Power of two.
+  int sets_per_bank = 64;
+  int ways = 2;
+  int line_bytes = 16;    // Power of two.
+  int hit_latency = 1;    // Cycles from bank access to data.
+  int miss_penalty = 10;  // Additional cycles on a miss.
+  int ports_per_bank = 1; // Accesses a bank accepts per cycle.
+};
 
 struct CacheLevelConfig {
   bool enabled = false;
@@ -60,6 +77,8 @@ struct CacheLevelStats {
   std::uint64_t writebacks = 0;      // Dirty victims evicted.
   std::uint64_t prefetch_fills = 0;  // Lines installed by the prefetcher.
   std::uint64_t prefetch_hits = 0;   // Demand hits on prefetched lines.
+  std::uint64_t bank_conflicts = 0;  // Port claims refused (ClaimPort).
+  std::uint64_t invalidations = 0;   // Lines dropped by Invalidate.
 
   [[nodiscard]] double MissRate() const {
     const auto total = hits + misses;
@@ -67,36 +86,61 @@ struct CacheLevelStats {
   }
 };
 
-/// One set-associative, write-back cache level. Timing/occupancy only: a
-/// Lookup decides hit or miss and updates LRU/dirty bits; data stays in the
-/// BackingStore.
+/// One cache: `banks` line-interleaved banks, each of `sets` sets of `ways`
+/// blocks with LRU replacement. Timing and occupancy only: a Lookup decides
+/// hit or miss and updates the LRU, dirty and prefetched bits; data stays in
+/// the BackingStore.
 class CacheLevelModel {
  public:
+  /// An L1I, L1D, L2 or cluster cache: one bank with no port limit.
   explicit CacheLevelModel(const CacheLevelConfig& config);
+  /// Section 2's banked cache: consecutive lines go to consecutive banks
+  /// (bank = line % num_banks, set = line / num_banks % sets_per_bank), and
+  /// each bank accepts `ports_per_bank` accesses per cycle. config() reports
+  /// `sets_per_bank`, `line_bytes` and `miss_penalty` as `sets`,
+  /// `block_bytes` and `miss_latency`.
+  explicit CacheLevelModel(const CacheConfig& config);
 
   struct LookupResult {
     bool hit = false;
     bool was_prefetched = false;  // Hit on a line the prefetcher installed.
   };
 
+  /// Which bank serves @p byte_address.
+  [[nodiscard]] int BankOf(isa::Word byte_address) const;
+
+  /// Takes one of this cycle's ports on @p byte_address's bank. Returns
+  /// false, counting a bank conflict and touching no line, when the bank has
+  /// none left.
+  bool ClaimPort(isa::Word byte_address);
+
+  /// Frees every bank's ports; call at the start of every cycle.
+  void NewCycle();
+
   /// Probes @p byte_address. A store that hits marks the line dirty
   /// (write-back: no traffic to the next tier until eviction).
   LookupResult Lookup(isa::Word byte_address, bool is_store);
 
-  /// Installs the block holding @p byte_address (LRU victim). Returns true
-  /// when the victim was dirty, i.e. a write-back to the next tier happened.
+  /// Installs the block holding @p byte_address (into an invalid way, else
+  /// the LRU one). Returns true when the victim was dirty, i.e. a write-back
+  /// to the next tier happened. A block already present is only updated.
   bool Fill(isa::Word byte_address, bool dirty, bool prefetched);
 
   /// Presence probe with no LRU/stats side effects (prefetch dedup).
   [[nodiscard]] bool Contains(isa::Word byte_address) const;
+
+  /// Drops the block holding @p byte_address, if present (write-through
+  /// invalidation).
+  void Invalidate(isa::Word byte_address);
 
   void Flush();
 
   [[nodiscard]] const CacheLevelConfig& config() const { return config_; }
   [[nodiscard]] const CacheLevelStats& stats() const { return stats_; }
 
-  /// Checkpoint support: tags, valid/dirty/prefetched bits, LRU stamps, and
-  /// stats, so a restored run observes the same hit/miss sequence.
+  /// Checkpoint support: tags, valid/dirty/prefetched bits, LRU stamps, this
+  /// cycle's port counts and stats, so a restored run observes the same
+  /// hit/miss/conflict sequence.
   void SaveState(persist::Encoder& e) const;
   void RestoreState(persist::Decoder& d);
 
@@ -109,18 +153,28 @@ class CacheLevelModel {
     std::uint64_t lru = 0;  // Larger = more recently used.
   };
 
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  CacheLevelModel(const CacheLevelConfig& config, int banks,
+                  int ports_per_bank);
+
   CacheLevelConfig config_;
+  int banks_;
+  int ports_per_bank_;
   int block_shift_;
-  std::vector<Line> lines_;  // [set][way] flattened.
+  // One row of `ways` lines per (bank, set) pair: row = block % rows_ and
+  // tag = block / rows_, which is the same pair as (bank, set, tag) above.
+  std::uint64_t rows_;
+  std::vector<Line> lines_;       // [row][way] flattened.
+  std::vector<int> ports_used_;   // Per bank, this cycle.
   std::uint64_t access_counter_ = 0;
   CacheLevelStats stats_;
 
-  [[nodiscard]] int SetOf(isa::Word byte_address) const;
-  [[nodiscard]] std::uint64_t TagOf(isa::Word byte_address) const;
-  [[nodiscard]] std::size_t LineIndex(int set, int way) const {
-    return static_cast<std::size_t>(set) * static_cast<std::size_t>(config_.ways) +
-           static_cast<std::size_t>(way);
-  }
+  /// Index of the first line of @p byte_address's row, and its tag.
+  [[nodiscard]] std::pair<std::size_t, std::uint64_t> RowOf(
+      isa::Word byte_address) const;
+  /// Index of the valid line holding @p byte_address, or kAbsent.
+  [[nodiscard]] std::size_t Find(isa::Word byte_address) const;
 };
 
 /// Region-keyed stride detector. Each entry tracks the last missing block

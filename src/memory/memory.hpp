@@ -5,7 +5,6 @@
 #include "memory/bandwidth.hpp"         // IWYU pragma: export
 #include "memory/branch_predictor.hpp"  // IWYU pragma: export
 #include "memory/butterfly.hpp"          // IWYU pragma: export
-#include "memory/cache.hpp"             // IWYU pragma: export
 #include "memory/fat_tree.hpp"          // IWYU pragma: export
 #include "memory/hierarchy.hpp"         // IWYU pragma: export
 #include "memory/memory_system.hpp"     // IWYU pragma: export

@@ -2,8 +2,66 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
+#include <utility>
 
 namespace ultra::memory {
+
+std::string CacheGeometryError(const MemoryConfig& mem) {
+  std::string error;
+  // Records the first rule broken.
+  const auto require = [&error](bool ok, std::string_view field,
+                                const char* rule, int value) {
+    if (ok || !error.empty()) return;
+    error = std::string(field) + " must be " + rule + ", got " +
+            std::to_string(value);
+  };
+  const auto power_of_two = [](int v) { return v > 0 && (v & (v - 1)) == 0; };
+  if (mem.mode != MemTimingMode::kMagic) {
+    const CacheConfig& c = mem.cache;
+    require(power_of_two(c.num_banks), "mem.cache.num_banks",
+            "a positive power of two", c.num_banks);
+    require(c.sets_per_bank >= 1, "mem.cache.sets_per_bank", ">= 1",
+            c.sets_per_bank);
+    require(c.ways >= 1, "mem.cache.ways", ">= 1", c.ways);
+    require(power_of_two(c.line_bytes), "mem.cache.line_bytes",
+            "a positive power of two", c.line_bytes);
+    require(c.ports_per_bank >= 1, "mem.cache.ports_per_bank", ">= 1",
+            c.ports_per_bank);
+  }
+  if (mem.cluster_cache_leaves > 0) {
+    require(mem.cluster_cache_words >= 1, "mem.cluster_cache_words", ">= 1",
+            mem.cluster_cache_words);
+  }
+  const std::pair<const CacheLevelConfig*, const char*> levels[] = {
+      {&mem.hierarchy.l1i, "l1i"},
+      {&mem.hierarchy.l1d, "l1d"},
+      {&mem.hierarchy.l2, "l2"}};
+  for (const auto& [level, name] : levels) {
+    if (!level->enabled) continue;
+    const std::string field = std::string("mem.hierarchy.") + name + ".";
+    require(power_of_two(level->sets), field + "sets",
+            "a positive power of two", level->sets);
+    require(level->ways >= 1, field + "ways", ">= 1", level->ways);
+    require(level->block_bytes >= 4 && power_of_two(level->block_bytes),
+            field + "block_bytes", "a power of two >= 4", level->block_bytes);
+    require(level->hit_latency >= 1, field + "hit_latency", ">= 1",
+            level->hit_latency);
+    require(level->miss_latency >= 1, field + "miss_latency", ">= 1",
+            level->miss_latency);
+  }
+  const PrefetchConfig& prefetch = mem.hierarchy.prefetch;
+  require(prefetch.depth >= 0, "mem.hierarchy.prefetch.depth", ">= 0",
+          prefetch.depth);
+  if (prefetch.depth > 0) {
+    require(prefetch.table_entries >= 1,
+            "mem.hierarchy.prefetch.table_entries", ">= 1",
+            prefetch.table_entries);
+    require(prefetch.fill_latency >= 1, "mem.hierarchy.prefetch.fill_latency",
+            ">= 1", prefetch.fill_latency);
+  }
+  return error;
+}
 
 MemorySystem::MemorySystem(const MemoryConfig& config, int num_leaves)
     : config_(config),
@@ -12,7 +70,7 @@ MemorySystem::MemorySystem(const MemoryConfig& config, int num_leaves)
       profile_(BandwidthProfile::ForRegime(config.regime,
                                            config.bandwidth_scale)) {
   ops_per_cycle_ = profile_.OpsPerCycle(num_leaves_);
-  cache_ = std::make_unique<InterleavedCache>(config_.cache, &store_);
+  if (config_.mode != MemTimingMode::kMagic) banked_.emplace(config_.cache);
   if (config_.mode == MemTimingMode::kFatTree) {
     network_ = std::make_unique<FatTreeNetwork>(num_leaves_, profile_);
   }
@@ -20,16 +78,29 @@ MemorySystem::MemorySystem(const MemoryConfig& config, int num_leaves)
     butterfly_ = std::make_unique<ButterflyNetwork>(num_leaves_);
   }
   if (config_.cluster_cache_leaves > 0) {
+    // One fully associative cache of words per cluster of leaves.
+    const CacheLevelModel words(CacheLevelConfig{
+        .enabled = true,
+        .sets = 1,
+        .ways = config_.cluster_cache_words,
+        .block_bytes = 4,
+        .hit_latency = config_.cluster_cache_hit_latency,
+        .miss_latency = 0});
     const int clusters =
         (num_leaves_ + config_.cluster_cache_leaves - 1) /
         config_.cluster_cache_leaves;
-    cluster_caches_.assign(static_cast<std::size_t>(clusters), {});
+    levels_.push_back(
+        {CacheRole::kCluster, config_.cluster_cache_leaves,
+         std::vector<CacheLevelModel>(static_cast<std::size_t>(clusters),
+                                      words)});
   }
   if (config_.hierarchy.l1d.enabled) {
-    l1d_ = std::make_unique<CacheLevelModel>(config_.hierarchy.l1d);
+    levels_.push_back({CacheRole::kL1D, num_leaves_,
+                       {CacheLevelModel(config_.hierarchy.l1d)}});
   }
   if (config_.hierarchy.l2.enabled) {
-    l2_ = std::make_unique<CacheLevelModel>(config_.hierarchy.l2);
+    levels_.push_back({CacheRole::kL2, num_leaves_,
+                       {CacheLevelModel(config_.hierarchy.l2)}});
   }
   if (config_.hierarchy.DataPathEnabled() &&
       config_.hierarchy.prefetch.depth > 0) {
@@ -37,53 +108,26 @@ MemorySystem::MemorySystem(const MemoryConfig& config, int num_leaves)
   }
 }
 
-int MemorySystem::ButterflyPort(isa::Word addr) const {
-  return cache_->BankOf(addr) % num_leaves_;
-}
-
-int MemorySystem::ClusterOf(int leaf) const {
-  return leaf / config_.cluster_cache_leaves;
-}
-
-bool MemorySystem::ClusterCacheLookup(int cluster, isa::Word addr) {
-  auto& cache = cluster_caches_[static_cast<std::size_t>(cluster)];
-  const auto it = std::find(cache.begin(), cache.end(), addr & ~isa::Word{3});
-  if (it == cache.end()) {
-    ++cluster_stats_.local_misses;
-    return false;
-  }
-  // LRU: move to the back (most recent).
-  cache.erase(it);
-  cache.push_back(addr & ~isa::Word{3});
-  ++cluster_stats_.local_hits;
-  return true;
-}
-
-void MemorySystem::ClusterCacheInsert(int cluster, isa::Word addr) {
-  auto& cache = cluster_caches_[static_cast<std::size_t>(cluster)];
-  const isa::Word aligned = addr & ~isa::Word{3};
-  if (std::find(cache.begin(), cache.end(), aligned) != cache.end()) return;
-  if (static_cast<int>(cache.size()) >= config_.cluster_cache_words) {
-    cache.erase(cache.begin());  // Evict LRU.
-  }
-  cache.push_back(aligned);
-}
-
-void MemorySystem::ClusterCacheInvalidate(isa::Word addr) {
-  const isa::Word aligned = addr & ~isa::Word{3};
-  for (auto& cache : cluster_caches_) {
-    const auto it = std::find(cache.begin(), cache.end(), aligned);
-    if (it != cache.end()) {
-      cache.erase(it);
-      ++cluster_stats_.invalidations;
+const CacheLevelModel* MemorySystem::cache(CacheRole role, int index) const {
+  if (role == CacheRole::kBanked) return banked_ ? &*banked_ : nullptr;
+  for (const Level& level : levels_) {
+    if (level.role == role) {
+      return &level.caches.at(static_cast<std::size_t>(index));
     }
   }
+  return nullptr;
+}
+
+int MemorySystem::ButterflyPort(isa::Word addr) const {
+  return banked_->BankOf(addr) % num_leaves_;
 }
 
 void MemorySystem::Reset(const std::map<isa::Word, isa::Word>& image) {
   store_.Load(image);
-  cache_->Flush();
-  for (auto& c : cluster_caches_) c.clear();
+  if (banked_) banked_->Flush();
+  for (Level& level : levels_) {
+    for (CacheLevelModel& cache : level.caches) cache.Flush();
+  }
   if (config_.mode == MemTimingMode::kFatTree) {
     network_ = std::make_unique<FatTreeNetwork>(num_leaves_, profile_);
   }
@@ -95,8 +139,6 @@ void MemorySystem::Reset(const std::map<isa::Word, isa::Word>& image) {
   completions_.clear();
   in_network_.clear();
   completed_.clear();
-  if (l1d_) l1d_->Flush();
-  if (l2_) l2_->Flush();
   if (prefetcher_) {
     prefetcher_ = std::make_unique<StridePrefetcher>(config_.hierarchy.prefetch);
   }
@@ -118,28 +160,71 @@ std::uint64_t MemorySystem::Submit(int leaf, bool is_store, isa::Word addr,
   // Figure 5 circuits until this store's completion signal.
   if (is_store) {
     store_.WriteWord(addr, value);
-    // Write-through with invalidation keeps the distributed caches
-    // coherent; the Figure 5 circuits already order loads after stores.
-    if (!cluster_caches_.empty()) ClusterCacheInvalidate(addr);
   } else {
     req.loaded_value = store_.ReadWord(addr);
-    // A distributed-cache hit completes locally, spending no tree
-    // bandwidth (the whole point of the Section 7 suggestion).
-    if (!cluster_caches_.empty() &&
-        ClusterCacheLookup(ClusterOf(req.leaf), addr)) {
-      CompleteAt(now_ + static_cast<std::uint64_t>(
-                            config_.cluster_cache_hit_latency),
-                 req);
-      return req.id;
-    }
   }
 
-  // The L1D/L2 hierarchy intercepts the request before the backing tier:
-  // hits complete locally (consuming no backing bandwidth); full misses pay
-  // the per-level lookup latencies and then dispatch to the backing tier.
-  if ((l1d_ || l2_) && SubmitToHierarchy(req)) return req.id;
-
-  DispatchToBacking(req);
+  // Walk the chain, innermost level first, until a level serves the request
+  // (`served` ends as its index, or levels_.size() on a full miss).
+  int delay = 0;
+  std::size_t served = 0;
+  for (; served < levels_.size(); ++served) {
+    Level& level = levels_[served];
+    CacheLevelModel& cache = level.For(req.leaf);
+    if (level.role == CacheRole::kCluster) {
+      // Write-through with invalidation keeps the distributed caches
+      // coherent (the Figure 5 circuits already order loads after stores).
+      // A load hit completes locally, spending no tree bandwidth -- the
+      // whole point of the Section 7 suggestion. A miss costs nothing; the
+      // load allocates when its completion is scheduled (CompleteAt).
+      if (is_store) {
+        for (CacheLevelModel& copy : level.caches) copy.Invalidate(addr);
+      } else if (cache.Lookup(addr, /*is_store=*/false).hit) {
+        delay += cache.config().hit_latency;
+        break;
+      }
+      continue;
+    }
+    // Write-back: the store's dirtiness lives in the innermost level; an
+    // outer copy stays clean until an inner write-back would make it dirty
+    // (the timing model charges write-backs at eviction, below).
+    const bool innermost = served == 0;
+    delay += cache.config().hit_latency;
+    const CacheLevelModel::LookupResult looked =
+        cache.Lookup(addr, is_store && innermost);
+    if (looked.hit) {
+      // The first demand hit on a prefetched line re-arms the stream: the
+      // detector sees the access and keeps running ahead of the program
+      // instead of waiting for the next miss. Lookup clears the line's
+      // prefetched bit, so each prefetched line re-arms at most once.
+      if (innermost && looked.was_prefetched && prefetcher_) {
+        SchedulePrefetches(addr);
+      }
+      break;
+    }
+    delay += cache.config().miss_latency;
+    // Only the innermost level's demand misses train the prefetcher; its
+    // fills land in Tick.
+    if (innermost && prefetcher_) SchedulePrefetches(addr);
+  }
+  // Write-allocate: install the block in every write-back level inside the
+  // one that served the request (all of them on a full miss), outermost
+  // first, charging the level's miss latency per dirty victim written back.
+  for (std::size_t k = served; k-- > 0;) {
+    if (levels_[k].role == CacheRole::kCluster) continue;
+    CacheLevelModel& cache = levels_[k].For(req.leaf);
+    if (cache.Fill(addr, /*dirty=*/is_store && k == 0, /*prefetched=*/false)) {
+      delay += cache.config().miss_latency;
+    }
+  }
+  if (served < levels_.size()) {
+    CompleteAt(now_ + static_cast<std::uint64_t>(delay), req);
+  } else if (delay == 0) {
+    DispatchToBacking(req);  // No level charged a lookup: straight through.
+  } else {
+    // The backing tier sees the miss once the lookup latencies elapse.
+    hier_pending_.emplace_back(now_ + static_cast<std::uint64_t>(delay), req);
+  }
   return req.id;
 }
 
@@ -165,75 +250,16 @@ void MemorySystem::DispatchToBacking(const Request& req) {
   }
 }
 
-bool MemorySystem::SubmitToHierarchy(const Request& req) {
-  const HierarchyConfig& h = config_.hierarchy;
-  int delay = 0;
-  if (l1d_) {
-    delay += h.l1d.hit_latency;
-    const CacheLevelModel::LookupResult looked =
-        l1d_->Lookup(req.addr, req.is_store);
-    if (looked.hit) {
-      // The first demand hit on a prefetched line re-arms the stream: the
-      // detector sees the access and keeps running ahead of the program
-      // instead of waiting for the next miss. Lookup clears the line's
-      // prefetched bit, so each prefetched line re-arms at most once.
-      if (looked.was_prefetched && prefetcher_) SchedulePrefetches(req.addr);
-      CompleteAt(now_ + static_cast<std::uint64_t>(delay), req);
-      return true;
-    }
-    delay += h.l1d.miss_latency;
-    // Only demand misses train the prefetcher; its fills land in Tick.
-    if (prefetcher_) SchedulePrefetches(req.addr);
-  }
-  if (l2_) {
-    delay += h.l2.hit_latency;
-    // The store's dirtiness lives in the innermost enabled level; the L2
-    // copy stays clean until an L1 write-back would make it dirty (the
-    // timing model charges write-backs at eviction, below).
-    const CacheLevelModel::LookupResult looked =
-        l2_->Lookup(req.addr, req.is_store && !l1d_);
-    if (looked.hit) {
-      if (!l1d_ && looked.was_prefetched && prefetcher_) {
-        SchedulePrefetches(req.addr);  // Re-arm the stream (see L1D above).
-      }
-      if (l1d_ &&
-          l1d_->Fill(req.addr, /*dirty=*/req.is_store, /*prefetched=*/false)) {
-        delay += h.l1d.miss_latency;  // Dirty victim written back to L2.
-      }
-      CompleteAt(now_ + static_cast<std::uint64_t>(delay), req);
-      return true;
-    }
-    delay += h.l2.miss_latency;
-    if (!l1d_ && prefetcher_) SchedulePrefetches(req.addr);
-  }
-  // Full miss: allocate in every enabled level (write-allocate), charging a
-  // write-back penalty per dirty victim, then enter the backing tier once
-  // the lookup latencies have elapsed.
-  if (l2_) {
-    if (l2_->Fill(req.addr, /*dirty=*/req.is_store && !l1d_,
-                  /*prefetched=*/false)) {
-      delay += h.l2.miss_latency;
-    }
-  }
-  if (l1d_) {
-    if (l1d_->Fill(req.addr, /*dirty=*/req.is_store, /*prefetched=*/false)) {
-      delay += h.l1d.miss_latency;
-    }
-  }
-  hier_pending_.emplace_back(now_ + static_cast<std::uint64_t>(delay), req);
-  return true;
-}
-
 void MemorySystem::SchedulePrefetches(isa::Word addr) {
-  const int block_bytes = l1d_ ? config_.hierarchy.l1d.block_bytes
-                               : config_.hierarchy.l2.block_bytes;
+  // The prefetcher feeds the innermost level, which it exists only with.
+  const CacheLevelModel& innermost = levels_.front().caches.front();
+  const int block_bytes = innermost.config().block_bytes;
   const isa::Word block =
       addr & ~static_cast<isa::Word>(block_bytes - 1);
   prefetch_scratch_.clear();
   prefetcher_->ObserveMiss(block, block_bytes, prefetch_scratch_);
   for (const isa::Word candidate : prefetch_scratch_) {
-    if (l1d_ && l1d_->Contains(candidate)) continue;
-    if (!l1d_ && l2_ && l2_->Contains(candidate)) continue;
+    if (innermost.Contains(candidate)) continue;
     bool queued = false;
     for (const auto& [ready, pending] : prefetch_fills_) {
       if (pending == candidate) {
@@ -259,8 +285,17 @@ std::uint64_t MemorySystem::SubmitStore(int leaf, isa::Word addr,
 }
 
 void MemorySystem::CompleteAt(std::uint64_t cycle, const Request& req) {
-  if (!req.is_store && !cluster_caches_.empty()) {
-    ClusterCacheInsert(ClusterOf(req.leaf), req.addr);
+  if (!req.is_store) {
+    for (Level& level : levels_) {
+      if (level.role != CacheRole::kCluster) continue;
+      // A cluster cache takes a load's word when its completion is
+      // scheduled, and only if absent: a word already there keeps its LRU
+      // place.
+      CacheLevelModel& cache = level.For(req.leaf);
+      if (!cache.Contains(req.addr)) {
+        cache.Fill(req.addr, /*dirty=*/false, /*prefetched=*/false);
+      }
+    }
   }
   MemResponse resp;
   resp.id = req.id;
@@ -269,13 +304,18 @@ void MemorySystem::CompleteAt(std::uint64_t cycle, const Request& req) {
   completions_[cycle].push_back(resp);
 }
 
-void MemorySystem::ServiceAtCache(const Request& req,
-                                  int extra_delay_before_response) {
-  const int latency = cache_->Access(req.addr, req.is_store);
-  if (latency < 0) {
-    // Bank conflict: retry next cycle at the cache side.
-    root_retry_queue_.push(req);
+void MemorySystem::ServiceAtCache(const Request& req) {
+  // The port check comes first, so a conflict leaves the lines and the
+  // hit/miss counts untouched. Every miss allocates, a store's too: the
+  // cache only times the access, the data is already in store_.
+  if (!banked_->ClaimPort(req.addr)) {
+    root_retry_queue_.push(req);  // Bank conflict: retry next cycle.
     return;
+  }
+  int latency = banked_->config().hit_latency;
+  if (!banked_->Lookup(req.addr, /*is_store=*/false).hit) {
+    banked_->Fill(req.addr, /*dirty=*/false, /*prefetched=*/false);
+    latency += banked_->config().miss_latency;
   }
   if (config_.mode == MemTimingMode::kFatTree ||
       config_.mode == MemTimingMode::kButterfly) {
@@ -283,17 +323,15 @@ void MemorySystem::ServiceAtCache(const Request& req,
     pending_downs_.push_back({now_ + static_cast<std::uint64_t>(latency), req});
     return;
   }
-  CompleteAt(now_ + static_cast<std::uint64_t>(latency +
-                                               extra_delay_before_response),
-             req);
+  CompleteAt(now_ + static_cast<std::uint64_t>(latency), req);
 }
 
 void MemorySystem::Tick() {
   ++now_;
-  cache_->NewCycle();
+  if (banked_) banked_->NewCycle();
 
-  // Hierarchy misses whose L1/L2 lookup latency has elapsed enter the
-  // backing tier this cycle.
+  // Chain misses whose lookup latencies have elapsed enter the backing tier
+  // this cycle.
   if (!hier_pending_.empty()) {
     std::size_t keep = 0;
     for (auto& [ready, req] : hier_pending_) {
@@ -305,16 +343,18 @@ void MemorySystem::Tick() {
     }
     hier_pending_.resize(keep);
   }
-  // Prefetched blocks land in the innermost enabled level once their fill
-  // latency elapses. Prefetch fills never charge anyone a write-back
-  // penalty (there is no demand access to charge), but dirty victims still
-  // count in the stats.
+  // Prefetched blocks land in every level, outermost first, once their fill
+  // latency elapses; only the innermost copy counts as prefetched. Prefetch
+  // fills never charge anyone a write-back penalty (there is no demand
+  // access to charge), but dirty victims still count in the stats.
   if (!prefetch_fills_.empty()) {
     std::size_t keep = 0;
     for (auto& [ready, block] : prefetch_fills_) {
       if (ready <= now_) {
-        if (l2_) l2_->Fill(block, /*dirty=*/false, /*prefetched=*/l1d_ == nullptr);
-        if (l1d_) l1d_->Fill(block, /*dirty=*/false, /*prefetched=*/true);
+        for (std::size_t k = levels_.size(); k-- > 0;) {
+          levels_[k].caches.front().Fill(block, /*dirty=*/false,
+                                         /*prefetched=*/k == 0);
+        }
       } else {
         prefetch_fills_[keep++] = {ready, block};
       }
@@ -332,13 +372,13 @@ void MemorySystem::Tick() {
         Request req = root_retry_queue_.front();
         root_retry_queue_.pop();
         --budget;
-        ServiceAtCache(req, 0);
+        ServiceAtCache(req);
       }
       while (budget > 0 && !admission_queue_.empty()) {
         Request req = admission_queue_.front();
         admission_queue_.pop();
         --budget;
-        ServiceAtCache(req, 0);
+        ServiceAtCache(req);
       }
       break;
     }
@@ -347,14 +387,14 @@ void MemorySystem::Tick() {
       for (const std::uint64_t id : network_->DrainRoot()) {
         const auto it = in_network_.find(id);
         assert(it != in_network_.end());
-        ServiceAtCache(it->second, 0);
+        ServiceAtCache(it->second);
       }
       // Bank-conflict retries at the root.
       const std::size_t retries = root_retry_queue_.size();
       for (std::size_t i = 0; i < retries; ++i) {
         Request req = root_retry_queue_.front();
         root_retry_queue_.pop();
-        ServiceAtCache(req, 0);
+        ServiceAtCache(req);
       }
       // Responses whose cache latency has elapsed start the downward trip.
       std::vector<std::pair<std::uint64_t, Request>> still_waiting;
@@ -379,13 +419,13 @@ void MemorySystem::Tick() {
       for (const auto& arrival : butterfly_->DrainForward()) {
         const auto it = in_network_.find(arrival.id);
         assert(it != in_network_.end());
-        ServiceAtCache(it->second, 0);
+        ServiceAtCache(it->second);
       }
       const std::size_t retries = root_retry_queue_.size();
       for (std::size_t i = 0; i < retries; ++i) {
         Request req = root_retry_queue_.front();
         root_retry_queue_.pop();
-        ServiceAtCache(req, 0);
+        ServiceAtCache(req);
       }
       std::vector<std::pair<std::uint64_t, Request>> still_waiting;
       for (auto& [ready, req] : pending_downs_) {
@@ -476,24 +516,15 @@ void MemorySystem::SaveState(persist::Encoder& e) const {
     e.U32(resp.value);
   }
 
-  e.U32(static_cast<std::uint32_t>(cluster_caches_.size()));
-  for (const auto& cache : cluster_caches_) {  // LRU order is significant.
-    e.U32(static_cast<std::uint32_t>(cache.size()));
-    for (const isa::Word w : cache) e.U32(w);
-  }
-  e.U64(cluster_stats_.local_hits);
-  e.U64(cluster_stats_.local_misses);
-  e.U64(cluster_stats_.invalidations);
-
   store_.SaveState(e);
-  e.Bool(cache_ != nullptr);
-  if (cache_ != nullptr) cache_->SaveState(e);
+  e.Bool(banked_.has_value());
+  if (banked_) banked_->SaveState(e);
   e.Bool(network_ != nullptr);
   if (network_ != nullptr) network_->SaveState(e);
   e.Bool(butterfly_ != nullptr);
   if (butterfly_ != nullptr) butterfly_->SaveState(e);
 
-  // Hierarchy state: in-flight misses, queued prefetch fills, level models.
+  // Chain state: in-flight misses, queued prefetch fills, the levels.
   e.U32(static_cast<std::uint32_t>(hier_pending_.size()));
   for (const auto& [ready, req] : hier_pending_) {
     e.U64(ready);
@@ -505,10 +536,12 @@ void MemorySystem::SaveState(persist::Encoder& e) const {
     e.U32(block);
   }
   e.U64(prefetch_issued_);
-  e.Bool(l1d_ != nullptr);
-  if (l1d_ != nullptr) l1d_->SaveState(e);
-  e.Bool(l2_ != nullptr);
-  if (l2_ != nullptr) l2_->SaveState(e);
+  e.U32(static_cast<std::uint32_t>(levels_.size()));
+  for (const Level& level : levels_) {
+    e.U8(static_cast<std::uint8_t>(level.role));
+    e.U32(static_cast<std::uint32_t>(level.caches.size()));
+    for (const CacheLevelModel& cache : level.caches) cache.SaveState(e);
+  }
   e.Bool(prefetcher_ != nullptr);
   if (prefetcher_ != nullptr) prefetcher_->SaveState(e);
 }
@@ -577,25 +610,11 @@ void MemorySystem::RestoreState(persist::Decoder& d) {
     completed_.push_back(resp);
   }
 
-  const std::uint32_t num_clusters = d.U32();
-  if (num_clusters != cluster_caches_.size()) {
-    throw persist::FormatError("cluster cache count mismatch");
-  }
-  for (auto& cache : cluster_caches_) {
-    cache.clear();
-    const std::uint32_t words = d.U32();
-    cache.reserve(words);
-    for (std::uint32_t k = 0; k < words; ++k) cache.push_back(d.U32());
-  }
-  cluster_stats_.local_hits = d.U64();
-  cluster_stats_.local_misses = d.U64();
-  cluster_stats_.invalidations = d.U64();
-
   store_.RestoreState(d);
-  if (d.Bool() != (cache_ != nullptr)) {
-    throw persist::FormatError("memory mode mismatch (cache)");
+  if (d.Bool() != banked_.has_value()) {
+    throw persist::FormatError("memory mode mismatch (banked cache)");
   }
-  if (cache_ != nullptr) cache_->RestoreState(d);
+  if (banked_) banked_->RestoreState(d);
   if (d.Bool() != (network_ != nullptr)) {
     throw persist::FormatError("memory mode mismatch (fat tree)");
   }
@@ -621,14 +640,16 @@ void MemorySystem::RestoreState(persist::Decoder& d) {
     prefetch_fills_.emplace_back(ready, block);
   }
   prefetch_issued_ = d.U64();
-  if (d.Bool() != (l1d_ != nullptr)) {
-    throw persist::FormatError("memory hierarchy mismatch (L1D)");
+  if (d.U32() != levels_.size()) {
+    throw persist::FormatError("memory cache chain mismatch");
   }
-  if (l1d_ != nullptr) l1d_->RestoreState(d);
-  if (d.Bool() != (l2_ != nullptr)) {
-    throw persist::FormatError("memory hierarchy mismatch (L2)");
+  for (Level& level : levels_) {
+    if (d.U8() != static_cast<std::uint8_t>(level.role) ||
+        d.U32() != level.caches.size()) {
+      throw persist::FormatError("memory cache chain mismatch");
+    }
+    for (CacheLevelModel& cache : level.caches) cache.RestoreState(d);
   }
-  if (l2_ != nullptr) l2_->RestoreState(d);
   if (d.Bool() != (prefetcher_ != nullptr)) {
     throw persist::FormatError("memory hierarchy mismatch (prefetcher)");
   }

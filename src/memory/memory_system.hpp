@@ -1,17 +1,29 @@
 // The full memory subsystem seen by a processor core.
 //
-// Ties together the backing store, the interleaved banked cache, the M(n)
-// bandwidth limit, and (optionally) the fat-tree interconnect. Three timing
-// modes:
+// Ties together the backing store, the M(n) bandwidth limit, the fat-tree
+// and butterfly interconnects, and the data-side caches, every one an
+// instance of CacheLevelModel (memory/hierarchy.hpp) whose write policy is
+// set by where it sits:
+//
+//  * a chain of levels in front of the backing tier, innermost first:
+//    Section 7's per-cluster caches (write-through with invalidation), or an
+//    L1D and/or L2 (write-back, write-allocate). Requests the chain does not
+//    serve go on to the backing tier.
+//  * Section 2's banked cache at the far side of the backing tier
+//    (timing-only, allocating on every miss, port-limited banks).
+//
+// The backing tier's timing mode:
 //
 //  * kMagic            -- fixed latency, unlimited bandwidth. Used by the
 //                         ILP-equivalence experiments, where every core must
-//                         observe identical memory timing.
+//                         observe identical memory timing. The banked cache
+//                         is not built.
 //  * kBandwidthLimited -- the chip accepts at most floor(M(n)) memory
 //                         operations per cycle (the paper's M(n) knob);
-//                         accepted operations access the interleaved cache.
+//                         accepted operations access the banked cache.
 //  * kFatTree          -- requests additionally traverse the fat-tree
 //                         network level by level, queuing at thin links.
+//  * kButterfly        -- requests cross a butterfly to the bank's port.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +31,16 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "memory/backing_store.hpp"
 #include "memory/bandwidth.hpp"
-#include "persist/serial.hpp"
-#include "memory/cache.hpp"
 #include "memory/butterfly.hpp"
 #include "memory/fat_tree.hpp"
 #include "memory/hierarchy.hpp"
+#include "persist/serial.hpp"
 
 namespace ultra::memory {
 
@@ -65,16 +77,26 @@ struct MemoryConfig {
   HierarchyConfig hierarchy;
 };
 
+/// Checks the geometry of every cache role @p mem puts in use, and of the
+/// prefetcher: the banked cache unless `mode` is kMagic, the cluster caches
+/// when `cluster_cache_leaves > 0`, and each enabled L1I/L1D/L2 level.
+/// Returns the first violated rule as "<field> must be <rule>, got <value>",
+/// or an empty string. CoreConfig::Validate and the config codec both use
+/// it, so nothing that passes either can trip the models' own asserts.
+[[nodiscard]] std::string CacheGeometryError(const MemoryConfig& mem);
+
+/// Where a MemorySystem cache sits; the role sets its write policy.
+enum class CacheRole : std::uint8_t {
+  kBanked,   // Section 2's cache behind the backing network.
+  kCluster,  // Section 7's per-cluster caches.
+  kL1D,
+  kL2,
+};
+
 struct MemResponse {
   std::uint64_t id = 0;
   bool is_store = false;
   isa::Word value = 0;  // Loaded value (loads only).
-};
-
-struct ClusterCacheStats {
-  std::uint64_t local_hits = 0;
-  std::uint64_t local_misses = 0;
-  std::uint64_t invalidations = 0;
 };
 
 class MemorySystem {
@@ -104,21 +126,12 @@ class MemorySystem {
     return store_.ReadWord(addr);
   }
   [[nodiscard]] BackingStore& store() { return store_; }
-  [[nodiscard]] const CacheStats& cache_stats() const {
-    return cache_->stats();
-  }
   [[nodiscard]] const MemoryConfig& config() const { return config_; }
   [[nodiscard]] int accepted_per_cycle() const { return ops_per_cycle_; }
-  [[nodiscard]] const ClusterCacheStats& cluster_cache_stats() const {
-    return cluster_stats_;
-  }
-  /// Hierarchy telemetry (null when the level is disabled).
-  [[nodiscard]] const CacheLevelStats* l1d_stats() const {
-    return l1d_ ? &l1d_->stats() : nullptr;
-  }
-  [[nodiscard]] const CacheLevelStats* l2_stats() const {
-    return l2_ ? &l2_->stats() : nullptr;
-  }
+  /// The instance playing @p role (for kCluster, that of cluster @p index),
+  /// or null when the configuration leaves the role out.
+  [[nodiscard]] const CacheLevelModel* cache(CacheRole role,
+                                             int index = 0) const;
   [[nodiscard]] std::uint64_t prefetch_issued() const {
     return prefetch_issued_;
   }
@@ -139,16 +152,27 @@ class MemorySystem {
     isa::Word loaded_value;  // Captured at architectural access time.
   };
 
+  /// One level of the chain: the role's instances (one per cluster for
+  /// kCluster, else one shared by every leaf).
+  struct Level {
+    CacheRole role;
+    int leaves_per_cache;
+    std::vector<CacheLevelModel> caches;
+
+    CacheLevelModel& For(int leaf) {
+      return caches[static_cast<std::size_t>(leaf / leaves_per_cache)];
+    }
+  };
+
   MemoryConfig config_;
   int num_leaves_;
   int ops_per_cycle_;
   BandwidthProfile profile_;
   BackingStore store_;
-  std::unique_ptr<InterleavedCache> cache_;
+  std::optional<CacheLevelModel> banked_;
   std::unique_ptr<FatTreeNetwork> network_;
   std::unique_ptr<ButterflyNetwork> butterfly_;
-  std::unique_ptr<CacheLevelModel> l1d_;
-  std::unique_ptr<CacheLevelModel> l2_;
+  std::vector<Level> levels_;  // The chain, innermost first.
   std::unique_ptr<StridePrefetcher> prefetcher_;
 
   std::uint64_t next_id_ = 1;
@@ -160,34 +184,22 @@ class MemorySystem {
   std::unordered_map<std::uint64_t, Request> in_network_;
   std::vector<MemResponse> completed_;
 
-  /// Hierarchy misses waiting out their L1/L2 lookup latency before they
+  /// Chain misses waiting out the levels' lookup latencies before they
   /// enter the backing tier, and prefetched blocks waiting to fill L1/L2.
   std::vector<std::pair<std::uint64_t, Request>> hier_pending_;
   std::vector<std::pair<std::uint64_t, isa::Word>> prefetch_fills_;
   std::vector<isa::Word> prefetch_scratch_;
   std::uint64_t prefetch_issued_ = 0;
 
-  /// Per-cluster local caches (tiny fully-associative word caches with LRU
-  /// eviction), indexed by leaf / cluster_cache_leaves.
-  std::vector<std::vector<isa::Word>> cluster_caches_;
-  ClusterCacheStats cluster_stats_;
-
   std::uint64_t Submit(int leaf, bool is_store, isa::Word addr,
                        isa::Word value);
-  /// Hands @p req to whichever backing tier `mode` selects (the pre-
-  /// hierarchy Submit switch).
+  /// Hands @p req to whichever backing tier `mode` selects.
   void DispatchToBacking(const Request& req);
-  /// Hierarchy lookup for @p req. Returns true when the request completed
-  /// (or was queued for deferred backing dispatch) inside the hierarchy.
-  bool SubmitToHierarchy(const Request& req);
   void SchedulePrefetches(isa::Word addr);
   void CompleteAt(std::uint64_t cycle, const Request& req);
-  void ServiceAtCache(const Request& req, int extra_delay_before_response);
-  [[nodiscard]] int ClusterOf(int leaf) const;
+  /// Accesses the banked cache at the far side of the backing tier.
+  void ServiceAtCache(const Request& req);
   [[nodiscard]] int ButterflyPort(isa::Word addr) const;
-  bool ClusterCacheLookup(int cluster, isa::Word addr);
-  void ClusterCacheInsert(int cluster, isa::Word addr);
-  void ClusterCacheInvalidate(isa::Word addr);
 };
 
 }  // namespace ultra::memory

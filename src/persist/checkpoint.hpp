@@ -38,7 +38,11 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x504B4355;  // "UCKP" LE.
 // incremental datapath state left the core blobs (it is rebuilt from the
 // stations on restore) and packed runs serialize their cached station
 // arguments and stale set instead, so live fault corruptions survive.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// Version 5: every cache in MemorySystem is one CacheLevelModel: the banked
+// cache (absent in kMagic) gained dirty/prefetched bits and the per-level
+// stats, the cluster caches moved from word lists to model instances, and
+// the L1D/L2 pair became a role-tagged chain of levels.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 struct CheckpointHeader {
   /// core::ProcessorKind of the core that wrote the blob (stored as the raw

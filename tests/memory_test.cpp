@@ -1,6 +1,6 @@
-// Tests for the memory substrate: backing store, interleaved cache,
-// fat-tree network, bandwidth profiles, branch predictors, trace cache, and
-// the MemorySystem facade in all three timing modes.
+// Tests for the memory substrate: backing store, the cache model in each of
+// its roles, fat-tree network, bandwidth profiles, branch predictors, trace
+// cache, and the MemorySystem facade in every timing mode.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -37,14 +37,23 @@ TEST(BackingStore, LoadReplacesContents) {
   EXPECT_EQ(store.ReadWord(4), 2u);
 }
 
-// --- Interleaved cache -----------------------------------------------------------
+int CyclesToComplete(MemorySystem& mem, std::uint64_t id) {
+  for (int cycles = 1; cycles <= 200; ++cycles) {
+    mem.Tick();
+    for (const auto& r : mem.DrainCompleted()) {
+      if (r.id == id) return cycles;
+    }
+  }
+  return -1;
+}
+
+// --- Section 2's banked cache ----------------------------------------------
 
 TEST(Cache, ConsecutiveLinesMapToDifferentBanks) {
-  BackingStore store;
   CacheConfig cfg;
   cfg.num_banks = 8;
   cfg.line_bytes = 16;
-  InterleavedCache cache(cfg, &store);
+  const CacheLevelModel cache(cfg);
   for (int line = 0; line < 8; ++line) {
     EXPECT_EQ(cache.BankOf(static_cast<isa::Word>(line * 16)), line);
   }
@@ -52,67 +61,89 @@ TEST(Cache, ConsecutiveLinesMapToDifferentBanks) {
 }
 
 TEST(Cache, MissThenHit) {
-  BackingStore store;
-  CacheConfig cfg;
-  cfg.hit_latency = 1;
-  cfg.miss_penalty = 10;
-  InterleavedCache cache(cfg, &store);
-  cache.NewCycle();
-  EXPECT_EQ(cache.Access(64, false), 11);  // Cold miss.
-  cache.NewCycle();
-  EXPECT_EQ(cache.Access(64, false), 1);   // Hit.
-  cache.NewCycle();
-  EXPECT_EQ(cache.Access(68, false), 1);   // Same line.
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  MemoryConfig cfg;
+  cfg.mode = MemTimingMode::kBandwidthLimited;
+  cfg.cache.hit_latency = 1;
+  cfg.cache.miss_penalty = 10;
+  MemorySystem mem(cfg, 4);
+  mem.Reset({});
+  // One cycle to be admitted, then the bank access: a cold miss, a hit,
+  // and a hit on another word of the same line.
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 64)), 1 + 11);
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 64)), 1 + 1);
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 68)), 1 + 1);
+  // A store miss allocates too: the load after it hits.
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitStore(0, 128, 5)), 1 + 11);
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 128)), 1 + 1);
+  const CacheLevelModel* cache = mem.cache(CacheRole::kBanked);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->stats().hits, 3u);
+  EXPECT_EQ(cache->stats().misses, 2u);
 }
 
 TEST(Cache, BankConflictWithinACycle) {
-  BackingStore store;
   CacheConfig cfg;
   cfg.num_banks = 4;
   cfg.line_bytes = 16;
   cfg.ports_per_bank = 1;
-  InterleavedCache cache(cfg, &store);
+  CacheLevelModel cache(cfg);
   cache.NewCycle();
-  EXPECT_GT(cache.Access(0, false), 0);
+  EXPECT_TRUE(cache.ClaimPort(0));
   // Same bank (same line) again in the same cycle: conflict.
-  EXPECT_EQ(cache.Access(4, false), -1);
+  EXPECT_FALSE(cache.ClaimPort(4));
   // A different bank still has ports.
-  EXPECT_GT(cache.Access(16, false), 0);
+  EXPECT_TRUE(cache.ClaimPort(16));
   cache.NewCycle();
-  EXPECT_GT(cache.Access(4, false), 0);  // Retried next cycle.
+  EXPECT_TRUE(cache.ClaimPort(4));  // Retried next cycle.
   EXPECT_EQ(cache.stats().bank_conflicts, 1u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+
+  // In the memory system the port check precedes the lookup: the access
+  // that conflicts is neither a hit nor a miss until its retry hits.
+  MemoryConfig mem_cfg;
+  mem_cfg.mode = MemTimingMode::kBandwidthLimited;
+  mem_cfg.cache = cfg;
+  MemorySystem mem(mem_cfg, 4);
+  mem.Reset({});
+  mem.SubmitLoad(0, 0);
+  const auto retried = mem.SubmitLoad(1, 4);  // Same bank, same cycle.
+  EXPECT_EQ(CyclesToComplete(mem, retried), 2 + cfg.hit_latency);
+  const CacheLevelStats& stats = mem.cache(CacheRole::kBanked)->stats();
+  EXPECT_EQ(stats.bank_conflicts, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(Cache, LruEvictionWithinSet) {
-  BackingStore store;
+  // A geometry only the banked cache accepts: 3 sets per bank, 2-byte
+  // lines. Lines 0, 6 and 12 (bytes 0, 12, 24) share bank 0, set 0.
   CacheConfig cfg;
-  cfg.num_banks = 1;
-  cfg.sets_per_bank = 1;
+  cfg.num_banks = 2;
+  cfg.sets_per_bank = 3;
   cfg.ways = 2;
-  cfg.line_bytes = 16;
-  cfg.ports_per_bank = 8;
-  InterleavedCache cache(cfg, &store);
-  cache.NewCycle();
-  cache.Access(0 * 16, false);   // Miss, fills way 0.
-  cache.Access(1 * 16, false);   // Miss, fills way 1.
-  cache.Access(0 * 16, false);   // Hit: 0 is now MRU.
-  cache.Access(2 * 16, false);   // Evicts line 1 (LRU).
-  cache.NewCycle();
-  EXPECT_EQ(cache.Access(0 * 16, false), cfg.hit_latency);
-  EXPECT_EQ(cache.Access(1 * 16, false),
-            cfg.hit_latency + cfg.miss_penalty);  // Was evicted.
+  cfg.line_bytes = 2;
+  CacheLevelModel cache(cfg);
+  // The banked cache's policy: every miss allocates.
+  const auto access = [&cache](isa::Word addr) {
+    if (cache.Lookup(addr, /*is_store=*/false).hit) return true;
+    cache.Fill(addr, /*dirty=*/false, /*prefetched=*/false);
+    return false;
+  };
+  EXPECT_FALSE(access(0));   // Miss, fills a way.
+  EXPECT_FALSE(access(12));  // Miss, fills the other.
+  EXPECT_FALSE(access(2));   // Bank 1: no effect on bank 0's set.
+  EXPECT_TRUE(access(0));    // Hit: 0 is now MRU.
+  EXPECT_FALSE(access(24));  // Evicts line 6 (LRU).
+  EXPECT_TRUE(access(0));
+  EXPECT_FALSE(access(12));  // Was evicted.
 }
 
 TEST(Cache, FlushDropsEverything) {
-  BackingStore store;
-  InterleavedCache cache(CacheConfig{}, &store);
-  cache.NewCycle();
-  cache.Access(0, false);
+  CacheLevelModel cache(CacheConfig{});
+  cache.Fill(0, /*dirty=*/false, /*prefetched=*/false);
+  ASSERT_TRUE(cache.Contains(0));
   cache.Flush();
-  cache.NewCycle();
-  EXPECT_GT(cache.Access(0, false), CacheConfig{}.hit_latency);
+  EXPECT_FALSE(cache.Lookup(0, /*is_store=*/false).hit);
 }
 
 // --- Bandwidth profiles -----------------------------------------------------------
@@ -426,15 +457,19 @@ TEST(ClusterCache, SecondLoadFromSameClusterHitsLocally) {
     ADD_FAILURE() << "request never completed";
     return MemResponse{};
   };
+  const auto hits = [&mem](int cluster) {
+    return mem.cache(CacheRole::kCluster, cluster)->stats().hits;
+  };
   const auto first = drain_one(mem.SubmitLoad(1, 64));
   EXPECT_EQ(first.value, 9u);
-  EXPECT_EQ(mem.cluster_cache_stats().local_hits, 0u);
+  EXPECT_EQ(hits(0), 0u);
   const auto second = drain_one(mem.SubmitLoad(2, 64));  // Same cluster.
   EXPECT_EQ(second.value, 9u);
-  EXPECT_EQ(mem.cluster_cache_stats().local_hits, 1u);
+  EXPECT_EQ(hits(0), 1u);
   // A different cluster misses its own local cache.
   drain_one(mem.SubmitLoad(9, 64));
-  EXPECT_EQ(mem.cluster_cache_stats().local_hits, 1u);
+  EXPECT_EQ(hits(2), 0u);
+  EXPECT_EQ(mem.cache(CacheRole::kCluster, 2)->stats().misses, 1u);
 }
 
 TEST(ClusterCache, StoreInvalidatesEveryLocalCopy) {
@@ -452,7 +487,11 @@ TEST(ClusterCache, StoreInvalidatesEveryLocalCopy) {
   run();
   mem.SubmitStore(0, 32, 2);
   run();
-  EXPECT_EQ(mem.cluster_cache_stats().invalidations, 2u);
+  for (const int cluster : {0, 1}) {
+    const CacheLevelModel* local = mem.cache(CacheRole::kCluster, cluster);
+    EXPECT_FALSE(local->Contains(32)) << "cluster " << cluster;
+    EXPECT_EQ(local->stats().invalidations, 1u) << "cluster " << cluster;
+  }
   // The reload sees the new value (from memory, not a stale copy).
   const auto id = mem.SubmitLoad(5, 32);
   isa::Word got = 0;
@@ -476,16 +515,38 @@ TEST(ClusterCache, LruEvictionBoundsTheFootprint) {
     for (int i = 0; i < 10; ++i) mem.Tick();
     mem.DrainCompleted();
   };
-  mem.SubmitLoad(0, 0);
+  // A miss adds nothing to the backing tier's latency.
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 0)),
+            cfg.magic_load_latency);
   mem.SubmitLoad(0, 4);
   mem.SubmitLoad(0, 8);  // Evicts address 0.
   run();
+  const CacheLevelModel& local = *mem.cache(CacheRole::kCluster);
+  EXPECT_FALSE(local.Contains(0));
   mem.SubmitLoad(0, 0);
   run();
-  EXPECT_EQ(mem.cluster_cache_stats().local_hits, 0u);
-  mem.SubmitLoad(0, 8);  // Still resident.
-  run();
-  EXPECT_EQ(mem.cluster_cache_stats().local_hits, 1u);
+  EXPECT_EQ(local.stats().hits, 0u);
+  // Still resident: a local hit.
+  EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 8)),
+            cfg.cluster_cache_hit_latency);
+  EXPECT_EQ(local.stats().hits, 1u);
+
+  // Taking in a word that is already present leaves its LRU place alone.
+  // With one admission per cycle, the second load of address 0 misses
+  // before the first brings the word in, and completes after address 4
+  // came in; 0 stays the LRU word, so address 8 evicts it.
+  cfg.mode = MemTimingMode::kBandwidthLimited;
+  cfg.regime = BandwidthRegime::kConstant;
+  MemorySystem queued(cfg, 8);
+  queued.Reset({});
+  for (const isa::Word addr : {0u, 4u, 0u}) queued.SubmitLoad(0, addr);
+  for (int i = 0; i < 20; ++i) queued.Tick();
+  queued.SubmitLoad(0, 8);
+  for (int i = 0; i < 20; ++i) queued.Tick();
+  const CacheLevelModel& words = *queued.cache(CacheRole::kCluster);
+  EXPECT_EQ(words.stats().hits, 0u);
+  EXPECT_FALSE(words.Contains(0));
+  EXPECT_TRUE(words.Contains(4));
 }
 
 TEST(ClusterCache, CoresStayCorrectWithDistributedCaches) {
@@ -648,16 +709,6 @@ MemoryConfig HierarchyConfig1Level() {
   return cfg;
 }
 
-int CyclesToComplete(MemorySystem& mem, std::uint64_t id) {
-  for (int cycles = 1; cycles <= 200; ++cycles) {
-    mem.Tick();
-    for (const auto& r : mem.DrainCompleted()) {
-      if (r.id == id) return cycles;
-    }
-  }
-  return -1;
-}
-
 TEST(MemHierarchy, L1HitIsFastAndBypassesBacking) {
   MemorySystem mem(HierarchyConfig1Level(), 4);
   mem.Reset({{64, 7}});
@@ -666,9 +717,10 @@ TEST(MemHierarchy, L1HitIsFastAndBypassesBacking) {
   // Warm hit: the L1 lookup alone.
   const auto id = mem.SubmitLoad(0, 64);
   EXPECT_EQ(CyclesToComplete(mem, id), 2);
-  ASSERT_NE(mem.l1d_stats(), nullptr);
-  EXPECT_EQ(mem.l1d_stats()->hits, 1u);
-  EXPECT_EQ(mem.l1d_stats()->misses, 1u);
+  const CacheLevelModel* l1d = mem.cache(CacheRole::kL1D);
+  ASSERT_NE(l1d, nullptr);
+  EXPECT_EQ(l1d->stats().hits, 1u);
+  EXPECT_EQ(l1d->stats().misses, 1u);
 }
 
 TEST(MemHierarchy, StoreStaysArchitecturallyImmediate) {
@@ -689,7 +741,7 @@ TEST(MemHierarchy, DirtyEvictionChargesAWriteback) {
   // write-back adds another miss_latency before the backing trip.
   EXPECT_EQ(CyclesToComplete(mem, mem.SubmitStore(0, 0, 1)), 8);  // 2+5+1.
   EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 16)), 32);
-  EXPECT_EQ(mem.l1d_stats()->writebacks, 1u);
+  EXPECT_EQ(mem.cache(CacheRole::kL1D)->stats().writebacks, 1u);
 }
 
 TEST(MemHierarchy, L2HitFillsL1AndSkipsBacking) {
@@ -710,8 +762,8 @@ TEST(MemHierarchy, L2HitFillsL1AndSkipsBacking) {
   EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 16)), 41);
   // L1 miss, L2 hit: 2 + 5 + 4, no backing trip.
   EXPECT_EQ(CyclesToComplete(mem, mem.SubmitLoad(0, 0)), 11);
-  ASSERT_NE(mem.l2_stats(), nullptr);
-  EXPECT_EQ(mem.l2_stats()->hits, 1u);
+  ASSERT_NE(mem.cache(CacheRole::kL2), nullptr);
+  EXPECT_EQ(mem.cache(CacheRole::kL2)->stats().hits, 1u);
 }
 
 TEST(MemHierarchy, PrefetchFillTurnsTheNextMissIntoAHit) {
@@ -729,8 +781,8 @@ TEST(MemHierarchy, PrefetchFillTurnsTheNextMissIntoAHit) {
   // The fills landed during the 27-cycle demand miss above.
   const auto id = mem.SubmitLoad(0, 48);
   EXPECT_EQ(CyclesToComplete(mem, id), 2);  // Hit latency only.
-  EXPECT_GE(mem.l1d_stats()->prefetch_fills, 1u);
-  EXPECT_EQ(mem.l1d_stats()->prefetch_hits, 1u);
+  EXPECT_GE(mem.cache(CacheRole::kL1D)->stats().prefetch_fills, 1u);
+  EXPECT_EQ(mem.cache(CacheRole::kL1D)->stats().prefetch_hits, 1u);
 }
 
 TEST(MemHierarchy, HierarchyValuesMatchBackingUnderRandomTraffic) {
@@ -765,7 +817,8 @@ TEST(MemHierarchy, HierarchyValuesMatchBackingUnderRandomTraffic) {
       ASSERT_TRUE(done);
     }
   }
-  EXPECT_GT(mem.l1d_stats()->hits + mem.l1d_stats()->misses, 0u);
+  const CacheLevelStats& l1d = mem.cache(CacheRole::kL1D)->stats();
+  EXPECT_GT(l1d.hits + l1d.misses, 0u);
 }
 
 }  // namespace

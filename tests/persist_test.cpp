@@ -174,9 +174,8 @@ TEST(CheckpointFile, GoldenHeaderBytesLockTheFormatVersion) {
   ckpt.state = {0xDE, 0xAD};
   const std::vector<std::uint8_t> bytes = persist::EncodeCheckpoint(ckpt);
   ASSERT_GE(bytes.size(), 8u);
-  // Version 4: the fallback counter and the incremental datapath state
-  // left the blobs; packed runs save their cached station arguments.
-  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 4, 0, 0, 0};
+  // Version 5: every MemorySystem cache is saved as one CacheLevelModel.
+  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 5, 0, 0, 0};
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(bytes[static_cast<std::size_t>(i)], golden[i]) << "byte " << i;
   }
@@ -430,6 +429,19 @@ TEST(ConfigCodec, RejectsCorruptHierarchyGeometry) {
     c.mem.hierarchy.prefetch.depth = 1;
     c.mem.hierarchy.prefetch.fill_latency = 0;
   });
+  // The banked cache in a mode that builds it, and the cluster caches.
+  corrupt([](CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kBandwidthLimited;
+    c.mem.cache.num_banks = 3;
+  });
+  corrupt([](CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kFatTree;
+    c.mem.cache.ways = 0;
+  });
+  corrupt([](CoreConfig& c) {
+    c.mem.cluster_cache_leaves = 4;
+    c.mem.cluster_cache_words = 0;
+  });
 }
 
 TEST(ProgramCodec, RoundTripPreservesFingerprint) {
@@ -467,21 +479,34 @@ TEST(Checkpoint, RestoredRunIsCycleExactOnEveryCore) {
 }
 
 TEST(Checkpoint, ExactUnderMemorySystemAndTraceCache) {
-  const isa::Program program = workloads::DotProduct(48);
-  for (const auto kind : kAllKinds) {
-    SCOPED_TRACE(core::ProcessorKindName(kind));
-    CoreConfig cfg;
-    cfg.window_size = 16;
-    cfg.cluster_size = 4;
-    cfg.predictor = core::PredictorKind::kTwoBit;
-    cfg.fetch_mode = core::FetchMode::kTraceCache;
-    cfg.mem.mode = memory::MemTimingMode::kFatTree;
-    cfg.store_forwarding = true;
-    const auto proc = core::MakeProcessor(kind, cfg);
-    const core::RunResult base = proc->Run(program);
-    ASSERT_TRUE(base.halted);
-    ExpectCheckpointExact(kind, cfg, program, base, base.cycles / 3);
-    ExpectCheckpointExact(kind, cfg, program, base, 2 * base.cycles / 3);
+  // Checkpoints taken with live cluster-cache contents and requests in
+  // flight through each backing network and the banked cache behind it.
+  const isa::Program program = workloads::MatMul(4);
+  for (const auto mode :
+       {memory::MemTimingMode::kFatTree, memory::MemTimingMode::kButterfly,
+        memory::MemTimingMode::kBandwidthLimited}) {
+    for (const auto kind : kAllKinds) {
+      SCOPED_TRACE(std::string(core::ProcessorKindName(kind)) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      CoreConfig cfg;
+      cfg.window_size = 16;
+      cfg.cluster_size = 4;
+      cfg.predictor = core::PredictorKind::kTwoBit;
+      cfg.fetch_mode = core::FetchMode::kTraceCache;
+      cfg.mem.mode = mode;
+      cfg.mem.cluster_cache_leaves = 4;
+      cfg.store_forwarding = true;
+      const core::RunResult base = core::MakeProcessor(kind, cfg)->Run(program);
+      ASSERT_TRUE(base.halted);
+      // A run whose loads all miss the cluster caches is cycle for cycle
+      // the run without them, so a different cycle count shows they hit.
+      CoreConfig uncached = cfg;
+      uncached.mem.cluster_cache_leaves = 0;
+      EXPECT_NE(base.cycles,
+                core::MakeProcessor(kind, uncached)->Run(program).cycles);
+      ExpectCheckpointExact(kind, cfg, program, base, base.cycles / 3);
+      ExpectCheckpointExact(kind, cfg, program, base, 2 * base.cycles / 3);
+    }
   }
 }
 

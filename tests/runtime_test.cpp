@@ -187,11 +187,33 @@ TEST(SweepRunner, ArchitecturalStateCheckPassesOnCorrectCores) {
 TEST(SweepRunner, InvalidConfigFailsThePointNotTheSweep) {
   auto points = SmallGrid();
   points[1].config.window_size = 0;  // Validate() must reject this point.
-  const auto outcomes = runtime::SweepRunner({.num_threads = 2}).Run(points);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_NE(outcomes[1].error.find("window_size"), std::string::npos);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  EXPECT_TRUE(outcomes[2].ok) << outcomes[2].error;
+  // Cache geometries the models cannot build must fail their point too,
+  // not abort the process: a banked cache of 3 banks or of 0 ways in a
+  // mode that accesses it, and empty cluster caches.
+  points[3].config.mem.mode = memory::MemTimingMode::kBandwidthLimited;
+  points[3].config.mem.cache.num_banks = 3;
+  points[4].config.mem.mode = memory::MemTimingMode::kFatTree;
+  points[4].config.mem.cache.ways = 0;
+  points[5].config.mem.cluster_cache_leaves = 4;
+  points[5].config.mem.cluster_cache_words = 0;
+  // kMagic never builds the banked cache, so its geometry is irrelevant.
+  points[6].config.mem.cache.num_banks = 3;
+  const auto outcomes =
+      runtime::SweepRunner({.num_threads = 2, .max_attempts = 3}).Run(points);
+  const std::pair<std::size_t, const char*> rejected[] = {
+      {1, "window_size"},
+      {3, "mem.cache.num_banks"},
+      {4, "mem.cache.ways"},
+      {5, "mem.cluster_cache_words"}};
+  for (const auto& [index, field] : rejected) {
+    EXPECT_FALSE(outcomes[index].ok) << field;
+    EXPECT_NE(outcomes[index].error.find(field), std::string::npos)
+        << outcomes[index].error;
+    EXPECT_EQ(outcomes[index].attempts, 1) << field;  // Never retried.
+  }
+  for (const std::size_t ok : {0, 2, 6, 7}) {
+    EXPECT_TRUE(outcomes[ok].ok) << outcomes[ok].error;
+  }
 }
 
 TEST(SweepRunner, HardenedSweepQuarantinesHungThrowingAndMismatchedPoints) {
@@ -398,6 +420,32 @@ TEST(ValidateConfig, RejectsDegenerateFields) {
   expect_rejected([](core::CoreConfig& c) { c.fetch_width = -1; });
   expect_rejected(
       [](core::CoreConfig& c) { c.pipeline_levels_per_stage = -1; });
+  // Cache geometries the models cannot build, once their role is in use.
+  expect_rejected([](core::CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kBandwidthLimited;
+    c.mem.cache.num_banks = 3;
+  });
+  expect_rejected([](core::CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kButterfly;
+    c.mem.cache.ways = 0;
+  });
+  expect_rejected([](core::CoreConfig& c) {
+    c.mem.cluster_cache_leaves = 4;
+    c.mem.cluster_cache_words = 0;
+  });
+  // The banked cache takes any number of sets per bank and lines below
+  // 4 bytes, and kMagic, which never builds it, ignores its geometry.
+  {
+    core::CoreConfig cfg;
+    cfg.mem.mode = memory::MemTimingMode::kFatTree;
+    cfg.mem.cache.sets_per_bank = 3;
+    cfg.mem.cache.line_bytes = 2;
+    EXPECT_NO_THROW(cfg.Validate());
+    cfg.mem.mode = memory::MemTimingMode::kMagic;
+    cfg.mem.cache.num_banks = 3;
+    cfg.mem.cache.ways = 0;
+    EXPECT_NO_THROW(cfg.Validate());
+  }
 }
 
 TEST(ValidateConfig, HybridClusterSizeMustFitTheWindow) {
