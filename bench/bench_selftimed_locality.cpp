@@ -8,10 +8,12 @@
 // We measure, over real committed schedules, the distribution of
 // producer-to-consumer distances in program order: the fraction within
 // distance 1 (same/adjacent station), within a cluster (C), and beyond.
+// The schedules are rebuilt from each run's pipeline trace.
 #include <cstdio>
 
 #include "analysis/analysis.hpp"
 #include "core/core.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vlsi/vlsi.hpp"
 #include "workloads/workloads.hpp"
 
@@ -23,8 +25,8 @@ using namespace ultra;
 /// only the wire delay its critical register communication actually needs
 /// (H-tree distance between producer and consumer stations), instead of the
 /// full-chip worst case the synchronous clock must assume.
-double SelfTimedSpeedup(const core::RunResult& result, int window,
-                        int num_regs) {
+double SelfTimedSpeedup(std::span<const analysis::InstrTiming> tl,
+                        std::uint64_t cycles, int window, int num_regs) {
   const vlsi::UltrascalarILayout layout(
       num_regs,
       memory::BandwidthProfile::ForRegime(memory::BandwidthRegime::kConstant));
@@ -52,7 +54,6 @@ double SelfTimedSpeedup(const core::RunResult& result, int window,
   // whose consumer issues at t constrains cycle t.
   std::vector<std::size_t> last_writer(isa::kMaxLogicalRegisters, SIZE_MAX);
   std::unordered_map<std::uint64_t, std::int64_t> critical;  // cycle->block.
-  const auto& tl = result.timeline;
   for (std::size_t i = 0; i < tl.size(); ++i) {
     const isa::Instruction& inst = tl[i].inst;
     const auto account = [&](isa::RegId r) {
@@ -68,12 +69,12 @@ double SelfTimedSpeedup(const core::RunResult& result, int window,
   }
 
   double self_timed_ps = 0.0;
-  for (std::uint64_t t = 0; t < result.cycles; ++t) {
+  for (std::uint64_t t = 0; t < cycles; ++t) {
     const auto it = critical.find(t);
     const std::int64_t blk = it == critical.end() ? 1 : it->second;
     self_timed_ps += gate_ps + wire_ps(blk);
   }
-  const double sync_ps = static_cast<double>(result.cycles) * full_cycle_ps;
+  const double sync_ps = static_cast<double>(cycles) * full_cycle_ps;
   return sync_ps / self_timed_ps;
 }
 
@@ -82,10 +83,15 @@ double SelfTimedSpeedup(const core::RunResult& result, int window,
 int main() {
   std::printf("=== E12: producer->consumer locality & self-timed estimate ===\n\n");
 
+  telemetry::PipelineTracer tracer({.capacity = std::size_t{1} << 18});
+  telemetry::RunTelemetry telem;
+  telem.tracer = &tracer;
+  telem.metrics_enabled = false;
   core::CoreConfig cfg;
   cfg.window_size = 64;
   cfg.cluster_size = 16;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
+  cfg.telemetry = &telem;
 
   struct Workload {
     std::string name;
@@ -107,10 +113,17 @@ int main() {
                          "dist<=8", "dist<=16 (C)", "dist<=64 (n)",
                          "self-timed speedup"});
   for (const auto& w : workloads) {
+    tracer.Clear();
     auto proc = core::MakeProcessor(core::ProcessorKind::kUltrascalarI, cfg);
     const auto result = proc->Run(w.program);
+    if (tracer.dropped() != 0) {
+      std::fprintf(stderr, "%s: the trace ring overflowed\n", w.name.c_str());
+      return 1;
+    }
+    const auto timeline =
+        analysis::TimelineFromTrace(tracer.Events(), w.program);
     const auto frac = [&](std::uint64_t d) {
-      return analysis::LocalCommunicationFraction(result.timeline, d);
+      return analysis::LocalCommunicationFraction(timeline, d);
     };
     table.Row()
         .Cell(w.name)
@@ -120,7 +133,9 @@ int main() {
         .Cell(frac(8), 2)
         .Cell(frac(16), 2)
         .Cell(frac(64), 2)
-        .Cell(SelfTimedSpeedup(result, cfg.window_size, cfg.num_regs), 2);
+        .Cell(SelfTimedSpeedup(timeline, result.cycles, cfg.window_size,
+                               cfg.num_regs),
+              2);
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(

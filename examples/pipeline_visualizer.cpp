@@ -1,8 +1,8 @@
 // Pipeline visualizer: run a named workload on a chosen processor model and
 // render its execution schedule, Figure 3 style. The schedule is rebuilt
 // from the telemetry subsystem's pipeline trace (telemetry::PipelineTracer)
-// rather than the core's committed timeline, exercising the same event
-// stream the Perfetto exporter consumes.
+// by analysis::TimelineFromTrace, the same event stream the Perfetto
+// exporter consumes.
 //
 // Usage:
 //   pipeline_visualizer [processor] [workload] [window] [cluster]
@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "analysis/analysis.hpp"
 #include "core/core.hpp"
@@ -75,22 +74,7 @@ int main(int argc, char** argv) {
   auto proc = core::MakeProcessor(kind, cfg);
   const auto result = proc->Run(program);
 
-  // Rebuild commit-ordered timing records from the trace: retired spans
-  // come back in terminating-event (= commit) order.
-  std::vector<core::InstrTiming> timeline;
-  for (const auto& sp : telemetry::CollectInstrSpans(tracer.Events())) {
-    if (!sp.retired) continue;
-    core::InstrTiming t;
-    t.seq = sp.seq;
-    t.station = sp.station;
-    t.pc = sp.pc;
-    if (sp.pc < program.size()) t.inst = program.at(sp.pc);
-    t.fetch_cycle = sp.fetch_cycle;
-    t.issue_cycle = sp.issue_cycle;
-    t.complete_cycle = sp.complete_cycle;
-    t.commit_cycle = sp.end_cycle;
-    timeline.push_back(t);
-  }
+  const auto timeline = analysis::TimelineFromTrace(tracer.Events(), program);
 
   std::printf("%s, window=%d%s, workload=%s\n",
               std::string(core::ProcessorKindName(kind)).c_str(), window,

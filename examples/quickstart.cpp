@@ -8,6 +8,7 @@
 #include "analysis/analysis.hpp"
 #include "core/core.hpp"
 #include "isa/isa.hpp"
+#include "telemetry/telemetry.hpp"
 
 int main() {
   using namespace ultra;
@@ -30,12 +31,18 @@ int main() {
               program.Disassemble().c_str());
 
   // 2. Configure a hybrid Ultrascalar: 32-station window, 8-station
-  //    clusters, BTFN branch prediction, idealized memory.
+  //    clusters, BTFN branch prediction, idealized memory. A pipeline
+  //    tracer records every instruction's lifetime for step 5.
+  telemetry::PipelineTracer tracer;
+  telemetry::RunTelemetry telem;
+  telem.tracer = &tracer;
+  telem.metrics_enabled = false;
   core::CoreConfig cfg;
   cfg.window_size = 32;
   cfg.cluster_size = 8;
   cfg.predictor = core::PredictorKind::kBtfn;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
+  cfg.telemetry = &telem;
 
   // 3. Run.
   auto processor = core::MakeProcessor(core::ProcessorKind::kHybrid, cfg);
@@ -59,11 +66,10 @@ int main() {
   std::printf("functional reference agrees: %s\n",
               ref.regs[2] == result.regs[2] ? "yes" : "NO");
 
-  // 5. Peek at the first loop iterations' schedule.
-  const std::size_t rows = std::min<std::size_t>(result.timeline.size(), 16);
+  // 5. Peek at the first loop iterations' schedule, rebuilt from the trace.
+  const auto timeline = analysis::TimelineFromTrace(tracer.Events(), program);
+  const std::size_t rows = std::min<std::size_t>(timeline.size(), 16);
   std::printf("\nFirst %zu committed instructions:\n%s", rows,
-              analysis::RenderTimingDiagram(
-                  {result.timeline.data(), rows})
-                  .c_str());
+              analysis::RenderTimingDiagram({timeline.data(), rows}).c_str());
   return 0;
 }

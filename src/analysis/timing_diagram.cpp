@@ -7,7 +7,21 @@
 
 namespace ultra::analysis {
 
-std::string RenderTimingDiagram(std::span<const core::InstrTiming> timeline,
+std::vector<InstrTiming> TimelineFromTrace(
+    std::span<const telemetry::TraceEvent> events,
+    const isa::Program& program) {
+  // Retired spans come back in terminating-event (= commit) order.
+  std::vector<InstrTiming> timeline;
+  for (const telemetry::InstrSpan& sp : telemetry::CollectInstrSpans(events)) {
+    if (!sp.retired) continue;
+    timeline.push_back({sp.seq, sp.station, sp.pc, program.at(sp.pc),
+                        sp.fetch_cycle, sp.issue_cycle, sp.complete_cycle,
+                        sp.end_cycle});
+  }
+  return timeline;
+}
+
+std::string RenderTimingDiagram(std::span<const InstrTiming> timeline,
                                 int max_rows) {
   if (timeline.empty()) return "(empty timeline)\n";
   std::uint64_t t0 = timeline.front().issue_cycle;
@@ -50,8 +64,8 @@ std::string RenderTimingDiagram(std::span<const core::InstrTiming> timeline,
   return os.str();
 }
 
-double LocalCommunicationFraction(
-    std::span<const core::InstrTiming> timeline, std::uint64_t distance) {
+double LocalCommunicationFraction(std::span<const InstrTiming> timeline,
+                                  std::uint64_t distance) {
   // For each instruction that reads a register, find the nearest preceding
   // writer of that register in commit order and record the gap.
   std::uint64_t pairs = 0;

@@ -46,30 +46,6 @@ inline void RestoreFetchedInstr(persist::Decoder& d, FetchedInstr& f) {
   f.predicted_next_pc = static_cast<std::size_t>(d.U64());
 }
 
-inline void SaveInstrTiming(persist::Encoder& e, const InstrTiming& t) {
-  e.U64(t.seq);
-  e.I32(t.station);
-  e.U64(t.pc);
-  e.U64(isa::Encode(t.inst));
-  e.U64(t.fetch_cycle);
-  e.U64(t.issue_cycle);
-  e.U64(t.complete_cycle);
-  e.U64(t.commit_cycle);
-}
-
-inline void RestoreInstrTiming(persist::Decoder& d, InstrTiming& t) {
-  t.seq = d.U64();
-  t.station = d.I32();
-  t.pc = static_cast<std::size_t>(d.U64());
-  const auto inst = isa::Decode(d.U64());
-  if (!inst) throw persist::FormatError("undecodable instruction");
-  t.inst = *inst;
-  t.fetch_cycle = d.U64();
-  t.issue_cycle = d.U64();
-  t.complete_cycle = d.U64();
-  t.commit_cycle = d.U64();
-}
-
 inline void SaveStation(persist::Encoder& e, const Station& st) {
   e.Bool(st.valid);
   e.U64(st.seq);
@@ -87,7 +63,8 @@ inline void SaveStation(persist::Encoder& e, const Station& st) {
   e.Bool(st.mem_done);
   e.U64(st.mem_id);
   e.U64(st.generation);
-  SaveInstrTiming(e, st.timing);
+  e.U64(st.issue_cycle);
+  e.U64(st.complete_cycle);
 }
 
 inline void RestoreStation(persist::Decoder& d, Station& st) {
@@ -107,7 +84,8 @@ inline void RestoreStation(persist::Decoder& d, Station& st) {
   st.mem_done = d.Bool();
   st.mem_id = d.U64();
   st.generation = d.U64();
-  RestoreInstrTiming(d, st.timing);
+  st.issue_cycle = d.U64();
+  st.complete_cycle = d.U64();
 }
 
 /// In-flight memory tags, emitted sorted by request id so the bytes are
@@ -157,8 +135,6 @@ inline void SavePartialResult(persist::Encoder& e, const RunResult& r) {
   e.U64(r.stats.fault.divergences);
   e.U64(r.stats.fault.resyncs);
   e.U64(r.stats.fault.squashes);
-  e.U32(static_cast<std::uint32_t>(r.timeline.size()));
-  for (const InstrTiming& t : r.timeline) SaveInstrTiming(e, t);
 }
 
 inline void RestorePartialResult(persist::Decoder& d, RunResult& r) {
@@ -177,14 +153,6 @@ inline void RestorePartialResult(persist::Decoder& d, RunResult& r) {
   r.stats.fault.divergences = d.U64();
   r.stats.fault.resyncs = d.U64();
   r.stats.fault.squashes = d.U64();
-  r.timeline.clear();
-  const std::uint32_t n = d.U32();
-  r.timeline.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    InstrTiming t;
-    RestoreInstrTiming(d, t);
-    r.timeline.push_back(t);
-  }
 }
 
 /// The packed path's cached station arguments plus the stale set of

@@ -15,6 +15,11 @@ void CoreConfig::Validate(bool for_hybrid) const {
   if (num_regs <= 0) {
     fail("num_regs must be positive, got " + std::to_string(num_regs));
   }
+  if (num_regs > isa::kMaxLogicalRegisters) {
+    fail("num_regs must be at most " +
+         std::to_string(isa::kMaxLogicalRegisters) +
+         " (the registers the ISA can name), got " + std::to_string(num_regs));
+  }
   if (max_cycles == 0) {
     fail("max_cycles must be nonzero (a zero budget can never commit)");
   }

@@ -156,23 +156,12 @@ struct CoreConfig {
   }
 
   /// Rejects configurations that would hang or index out of bounds
-  /// (window_size <= 0, num_regs <= 0, max_cycles == 0, negative num_alus,
+  /// (window_size <= 0, num_regs outside [1, isa::kMaxLogicalRegisters],
+  /// max_cycles == 0, negative num_alus,
   /// negative fetch_width, and -- when @p for_hybrid is set -- cluster_size
   /// outside [1, window_size]). Throws std::invalid_argument naming the bad
   /// field. MakeProcessor calls this for every core it builds.
   void Validate(bool for_hybrid = false) const;
-};
-
-/// Per-dynamic-instruction timing record (the raw material of Figure 3).
-struct InstrTiming {
-  std::uint64_t seq = 0;        // Dynamic sequence number (commit order).
-  int station = 0;              // Execution-station slot that ran it.
-  std::size_t pc = 0;
-  isa::Instruction inst;
-  std::uint64_t fetch_cycle = 0;
-  std::uint64_t issue_cycle = 0;     // First execution cycle.
-  std::uint64_t complete_cycle = 0;  // Cycle at whose end the result is ready.
-  std::uint64_t commit_cycle = 0;
 };
 
 /// Fault-injection / self-checking counters (zero on clean runs; see
@@ -232,7 +221,6 @@ struct RunResult {
   /// Final architectural data memory (byte address -> word), for
   /// cross-processor equivalence checks against the functional simulator.
   std::map<isa::Word, isa::Word> memory;
-  std::vector<InstrTiming> timeline;  // In commit order.
   RunStats stats;
 
   [[nodiscard]] double Ipc() const {

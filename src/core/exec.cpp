@@ -10,7 +10,7 @@ namespace {
 
 void Finish(Station& st, std::uint64_t cycle) {
   st.finished = true;
-  st.timing.complete_cycle = cycle;
+  st.complete_cycle = cycle;
 }
 
 }  // namespace
@@ -62,7 +62,7 @@ bool StepStation(Station& st, const datapath::ResolvedArgs& args,
         st.arg_a = args.arg1.value;
         st.arg_b = args.arg2.value;
         st.busy_remaining = latencies.Cycles(inst.op);
-        st.timing.issue_cycle = cycle;
+        st.issue_cycle = cycle;
       }
       assert(st.busy_remaining > 0);
       if (--st.busy_remaining > 0) return false;
@@ -100,7 +100,7 @@ bool StepStation(Station& st, const datapath::ResolvedArgs& args,
           st.result.ready = true;
           st.mem_submitted = true;  // No memory traffic.
           st.mem_done = true;
-          st.timing.issue_cycle = cycle;
+          st.issue_cycle = cycle;
           ++stats.forwarded_loads;
           Finish(st, cycle);
           return false;
@@ -114,7 +114,7 @@ bool StepStation(Station& st, const datapath::ResolvedArgs& args,
       const isa::Word addr = isa::EffectiveAddress(inst, st.arg_a);
       st.mem_id = mem.SubmitLoad(leaf, addr);
       st.mem_submitted = true;
-      st.timing.issue_cycle = cycle;
+      st.issue_cycle = cycle;
       inflight[st.mem_id] = MemTag{tag, st.generation};
       ++stats.load_count;
       return false;  // Completion arrives via ApplyMemResponse.
@@ -131,7 +131,7 @@ bool StepStation(Station& st, const datapath::ResolvedArgs& args,
         const isa::Word addr = isa::EffectiveAddress(inst, st.arg_a);
         st.mem_id = mem.SubmitStore(leaf, addr, st.arg_b);
         st.mem_submitted = true;
-        st.timing.issue_cycle = cycle;
+        st.issue_cycle = cycle;
         inflight[st.mem_id] = MemTag{tag, st.generation};
         ++stats.store_count;
       }
@@ -151,7 +151,7 @@ void ApplyMemResponse(Station& st, const memory::MemResponse& resp,
     st.result.ready = true;
   }
   st.finished = true;
-  st.timing.complete_cycle = cycle;
+  st.complete_cycle = cycle;
 }
 
 LoadForwardDecision ResolveLoadForwarding(

@@ -604,14 +604,14 @@ RunResult HybridCore::Run(const isa::Program& program) {
             ctx.load_forward = decision.forward;
             ctx.forward_value = decision.value;
           }
-          const bool was_issued = st.issued;
+          const bool was_started = st.started();
           const bool was_finished = st.finished;
           const datapath::RegBinding pre_result = st.result;
           const bool mispredicted = StepStation(
               st, args_at[static_cast<std::size_t>(i)], ctx,
               config_.latencies, mem, cycle, i, static_cast<std::uint64_t>(i),
               inflight, result.stats);
-          tel.OnStep(cycle, i, st, was_issued, was_finished);
+          tel.OnStep(cycle, i, st, was_started, was_finished);
           iss_b.SetTo(p, st.issued);
           fin_b.SetTo(p, st.finished);
           res_b.SetTo(p, st.resolved);
@@ -662,12 +662,12 @@ RunResult HybridCore::Run(const isa::Program& program) {
         ctx.load_forward = decision.forward;
         ctx.forward_value = decision.value;
       }
-      const bool was_issued = st.issued;
+      const bool was_started = st.started();
       const bool was_finished = st.finished;
       const bool mispredicted = StepStation(
           st, args_of(i), ctx, config_.latencies, mem, cycle, i,
           static_cast<std::uint64_t>(i), inflight, result.stats);
-      tel.OnStep(cycle, i, st, was_issued, was_finished);
+      tel.OnStep(cycle, i, st, was_started, was_finished);
       if (mispredicted) {
         ++result.stats.mispredictions;
         for (int m = p + 1; m < tail; ++m) {
@@ -733,7 +733,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
           stations[static_cast<std::size_t>(station_index(commit_ptr))];
       assert(st.valid);
       if (!st.finished) break;
-      st.timing.commit_cycle = cycle;
       const isa::Instruction& inst = st.inst();
       if (isa::WritesRd(inst.op)) {
         assert(st.result.ready);
@@ -747,7 +746,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
       if (isa::IsControlFlow(inst.op)) {
         fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
       }
-      result.timeline.push_back(st.timing);
       ++result.committed;
       tel.OnCommit(cycle, station_index(commit_ptr), st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
@@ -806,9 +804,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
       }
       for (const auto& f : fetch_batch) {
         const int slot = station_index(tail);
-        FillStation(stations[static_cast<std::size_t>(slot)], f, next_seq++,
-                    cycle);
-        stations[static_cast<std::size_t>(slot)].timing.station = slot;
+        FillStation(stations[static_cast<std::size_t>(slot)], f, next_seq++);
         tel.OnFetch(cycle, slot, stations[static_cast<std::size_t>(slot)]);
         if (packed) {
           packed_fill_slot(tail, slot,

@@ -113,7 +113,7 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
 
   CheckpointSession ckpt(config_, ProcessorKind::kIdeal, program);
   const auto save_state = [&](persist::Encoder& e) {
-    // Ring position matters downstream (timing.station records the slot a
+    // Ring position matters downstream (trace events name the slot a
     // future allocation lands in), so head is preserved, not normalized.
     e.I32(head);
     e.I32(count);
@@ -230,7 +230,7 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
       if (Entry* e = find_entry(tag.tag); e != nullptr) {
         const bool entry_was_finished = e->st.finished;
         ApplyMemResponse(e->st, resp, cycle);
-        tel.OnMemComplete(cycle, e->st.timing.station, e->st,
+        tel.OnMemComplete(cycle, static_cast<int>(e - window.data()), e->st,
                           entry_was_finished);
       }
     }
@@ -302,18 +302,18 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
         ctx.load_forward = decision.forward;
         ctx.forward_value = decision.value;
       }
-      const bool step_was_issued = e.st.issued;
+      const bool step_was_started = e.st.started();
       const bool step_was_finished = e.st.finished;
       const bool mispredicted = StepStation(
           e.st, args_at[ks], ctx, config_.latencies, mem, cycle, k, e.st.seq,
           inflight, result.stats);
-      tel.OnStep(cycle, e.st.timing.station, e.st, step_was_issued,
+      tel.OnStep(cycle, (head + k) % n, e.st, step_was_started,
                  step_was_finished);
       if (mispredicted) {
         ++result.stats.mispredictions;
         if (tel.trace_on() || tel.metrics_on()) {
           for (int m = k + 1; m < count; ++m) {
-            tel.OnSquash(cycle, ent(m).st.timing.station, ent(m).st);
+            tel.OnSquash(cycle, (head + m) % n, ent(m).st);
           }
         }
         result.stats.squashed_instructions +=
@@ -328,7 +328,6 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
     while (count > 0 && ent(0).st.finished) {
       Entry& e = ent(0);
       Station& st = e.st;
-      st.timing.commit_cycle = cycle;
       const isa::Instruction& inst = st.inst();
       if (isa::WritesRd(inst.op)) {
         assert(st.result.ready);
@@ -351,9 +350,8 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
       if (isa::IsControlFlow(inst.op)) {
         fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
       }
-      result.timeline.push_back(st.timing);
       ++result.committed;
-      tel.OnCommit(cycle, st.timing.station, st);
+      tel.OnCommit(cycle, head, st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
       head = (head + 1) % n;
       --count;
@@ -374,9 +372,9 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
         ++result.stats.fetch_stall_cycles;
       }
       for (const auto& f : fetch_batch) {
-        Entry& e = ent(count);
-        FillStation(e.st, f, next_seq++, cycle);
-        e.st.timing.station = (head + count) % n;
+        const int slot = (head + count) % n;
+        Entry& e = window[static_cast<std::size_t>(slot)];
+        FillStation(e.st, f, next_seq++);
         e.dep1_inflight = false;
         e.dep1_seq = 0;
         e.val1 = 0;
@@ -401,12 +399,12 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
           }
         }
         if (isa::WritesRd(inst.op)) rename[inst.rd] = e.st.seq;
-        tel.OnFetch(cycle, e.st.timing.station, e.st);
+        tel.OnFetch(cycle, slot, e.st);
         if (e.dep1_inflight) {
-          tel.OnRename(cycle, e.st.timing.station, e.st, e.dep1_seq);
+          tel.OnRename(cycle, slot, e.st, e.dep1_seq);
         }
         if (e.dep2_inflight) {
-          tel.OnRename(cycle, e.st.timing.station, e.st, e.dep2_seq);
+          tel.OnRename(cycle, slot, e.st, e.dep2_seq);
         }
         ++count;
       }
@@ -750,7 +748,7 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
       finished_b.Set(slot);
       if (fwd) mw_stale.Set(slot);
       finish_events.emplace_back(slot, e.st.seq);
-      tel.OnMemComplete(cycle, e.st.timing.station, e.st, entry_was_finished);
+      tel.OnMemComplete(cycle, slot, e.st, entry_was_finished);
     }
 
     // --- Phase 3a: refresh moved disambiguation-window entries (after
@@ -831,14 +829,13 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
             ctx.load_forward = decision.forward;
             ctx.forward_value = decision.value;
           }
-          const bool step_was_issued = e.st.issued;
+          const bool step_was_started = e.st.started();
           const bool step_was_finished = e.st.finished;
           const bool mispredicted =
               StepStation(e.st, args_cache[static_cast<std::size_t>(slot)],
                           ctx, config_.latencies, mem, cycle, k, e.st.seq,
                           inflight, result.stats);
-          tel.OnStep(cycle, e.st.timing.station, e.st, step_was_issued,
-                     step_was_finished);
+          tel.OnStep(cycle, slot, e.st, step_was_started, step_was_finished);
           sync_station_bits(slot, e.st);
           if (e.st.finished) finish_events.emplace_back(slot, e.st.seq);
           if (mispredicted) {
@@ -848,7 +845,7 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
             for (int m = k + 1; m < count; ++m) {
               const int s2 = (head + m) % n;
               Station& victim = window[static_cast<std::size_t>(s2)].st;
-              tel.OnSquash(cycle, victim.timing.station, victim);
+              tel.OnSquash(cycle, s2, victim);
               seq_slot.erase(victim.seq);
               clear_slot_bits(s2);
             }
@@ -870,7 +867,6 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
     while (count > 0 && window[static_cast<std::size_t>(head)].st.finished) {
       Entry& e = window[static_cast<std::size_t>(head)];
       Station& st = e.st;
-      st.timing.commit_cycle = cycle;
       const isa::Instruction& inst = st.inst();
       if (isa::WritesRd(inst.op)) {
         assert(st.result.ready);
@@ -899,9 +895,8 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
       if (isa::IsControlFlow(inst.op)) {
         fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
       }
-      result.timeline.push_back(st.timing);
       ++result.committed;
-      tel.OnCommit(cycle, st.timing.station, st);
+      tel.OnCommit(cycle, head, st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
       seq_slot.erase(st.seq);
       clear_slot_bits(head);
@@ -926,8 +921,7 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
       for (const auto& f : fetch_batch) {
         const int slot = (head + count) % n;
         Entry& e = window[static_cast<std::size_t>(slot)];
-        FillStation(e.st, f, next_seq++, cycle);
-        e.st.timing.station = slot;
+        FillStation(e.st, f, next_seq++);
         e.dep1_inflight = false;
         e.dep1_seq = 0;
         e.val1 = 0;
@@ -970,12 +964,12 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
           seq_slot.emplace(e.st.seq, slot);
         }
         register_slot(slot, prod1, prod2);
-        tel.OnFetch(cycle, e.st.timing.station, e.st);
+        tel.OnFetch(cycle, slot, e.st);
         if (e.dep1_inflight) {
-          tel.OnRename(cycle, e.st.timing.station, e.st, e.dep1_seq);
+          tel.OnRename(cycle, slot, e.st, e.dep1_seq);
         }
         if (e.dep2_inflight) {
-          tel.OnRename(cycle, e.st.timing.station, e.st, e.dep2_seq);
+          tel.OnRename(cycle, slot, e.st, e.dep2_seq);
         }
         ++count;
       }

@@ -4,8 +4,8 @@
 // idealized conventional out-of-order baseline) implement identical
 // instruction sets with identical scheduling policies (Section 1); they
 // differ only in microarchitecture. Run() executes a program to completion
-// and reports architectural state, cycle counts, and a per-instruction
-// timeline.
+// and reports architectural state, cycle counts and stats; per-instruction
+// schedules come from the pipeline tracer (analysis::TimelineFromTrace).
 #pragma once
 
 #include <memory>
@@ -45,8 +45,9 @@ class Processor {
       const isa::Program& program, std::uint64_t cycle) const;
 
   /// Resumes @p program from @p checkpoint and runs to completion. The
-  /// result is identical — cycles, stats, timeline, registers, memory — to
-  /// an uninterrupted Run() of the same program. Throws
+  /// result is identical — cycles, stats, registers, memory, and the trace
+  /// events from the checkpoint's cycle on — to an uninterrupted Run() of
+  /// the same program. Throws
   /// persist::FormatError when the checkpoint was taken by a different
   /// core kind, config, or program.
   [[nodiscard]] RunResult RestoreCheckpoint(

@@ -39,9 +39,16 @@ struct Station {
   // Squash filtering for in-flight memory responses.
   std::uint64_t generation = 0;
 
-  InstrTiming timing;
+  // Read back by the cores: the issue cycle for core.issue_to_commit_cycles,
+  // the complete cycle for pipelined Ultrascalar I delivery.
+  std::uint64_t issue_cycle = 0;
+  std::uint64_t complete_cycle = 0;
 
   [[nodiscard]] const isa::Instruction& inst() const { return fetched.inst; }
+
+  /// Execution has begun: an ALU op has issued or a memory op has been
+  /// submitted (memory ops never set `issued`).
+  [[nodiscard]] bool started() const { return issued || mem_submitted; }
 
   /// Clears the slot for reuse, keeping the generation counter (which must
   /// survive so stale memory responses are dropped).
@@ -53,16 +60,11 @@ struct Station {
 };
 
 /// Resets a station for a newly fetched instruction.
-inline void FillStation(Station& st, const FetchedInstr& f, std::uint64_t seq,
-                        std::uint64_t fetch_cycle) {
+inline void FillStation(Station& st, const FetchedInstr& f, std::uint64_t seq) {
   st.Clear();
   st.valid = true;
   st.seq = seq;
   st.fetched = f;
-  st.timing.seq = seq;
-  st.timing.pc = f.pc;
-  st.timing.inst = f.inst;
-  st.timing.fetch_cycle = fetch_cycle;
 }
 
 }  // namespace ultra::core

@@ -87,11 +87,12 @@ class CoreTelemetry {
     }
   }
 
-  /// After StepStation: emits issue/complete transitions.
+  /// After StepStation: emits issue/complete transitions (@p was_started =
+  /// st.started() before the step, so memory ops issue when submitted).
   void OnStep(std::uint64_t cycle, int station, const Station& st,
-              bool was_issued, bool was_finished) {
+              bool was_started, bool was_finished) {
     if (tracer_ == nullptr) return;
-    if (!was_issued && st.issued) {
+    if (!was_started && st.started()) {
       Emit(telemetry::TraceEventKind::kIssue, cycle, station, st, 0);
     }
     if (!was_finished && st.finished) {
@@ -109,7 +110,7 @@ class CoreTelemetry {
 
   void OnCommit(std::uint64_t cycle, int station, const Station& st) {
     if (sheet_ != nullptr) {
-      sheet_->Observe(latency_, cycle - st.timing.issue_cycle);
+      sheet_->Observe(latency_, cycle - st.issue_cycle);
     }
     if (tracer_ != nullptr) {
       Emit(telemetry::TraceEventKind::kCommit, cycle, station, st, 0);

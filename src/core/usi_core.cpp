@@ -267,7 +267,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         const Station& w = stations[static_cast<std::size_t>(j)];
         if (!w.finished) return {w.result.value, false};
         const int lat = PipeCycles(j, i, config_.pipeline_levels_per_stage);
-        if (cycle >= w.timing.complete_cycle +
+        if (cycle >= w.complete_cycle +
                          static_cast<std::uint64_t>(lat)) {
           return w.result;
         }
@@ -654,7 +654,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
             ctx.load_forward = decision.forward;
             ctx.forward_value = decision.value;
           }
-          const bool was_issued = st.issued;
+          const bool was_started = st.started();
           const bool was_finished = st.finished;
           const datapath::RegBinding pre_result = st.result;
           const bool mispredicted =
@@ -662,7 +662,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
                           config_.latencies, mem, cycle, i,
                           static_cast<std::uint64_t>(i), inflight,
                           result.stats);
-          tel.OnStep(cycle, i, st, was_issued, was_finished);
+          tel.OnStep(cycle, i, st, was_started, was_finished);
           iss_b.SetTo(i, st.issued);
           fin_b.SetTo(i, st.finished);
           res_b.SetTo(i, st.resolved);
@@ -719,12 +719,12 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         ctx.load_forward = decision.forward;
         ctx.forward_value = decision.value;
       }
-      const bool was_issued = st.issued;
+      const bool was_started = st.started();
       const bool was_finished = st.finished;
       const bool mispredicted =
           StepStation(st, args, ctx, config_.latencies, mem, cycle, i,
                       static_cast<std::uint64_t>(i), inflight, result.stats);
-      tel.OnStep(cycle, i, st, was_issued, was_finished);
+      tel.OnStep(cycle, i, st, was_started, was_finished);
       if (mispredicted) {
         ++result.stats.mispredictions;
         for (int m = k + 1; m < count; ++m) {
@@ -795,7 +795,6 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       Station& st = stations[static_cast<std::size_t>(head)];
       assert(st.valid && "the oldest slot is never a squash victim");
       if (!st.finished) break;
-      st.timing.commit_cycle = cycle;
       const isa::Instruction& inst = st.inst();
       if (isa::WritesRd(inst.op)) {
         assert(st.result.ready);
@@ -816,7 +815,6 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       if (isa::IsControlFlow(inst.op)) {
         fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
       }
-      result.timeline.push_back(st.timing);
       ++result.committed;
       tel.OnCommit(cycle, head, st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
@@ -846,9 +844,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       }
       for (const auto& f : fetch_batch) {
         const int slot = (head + count) % n;
-        FillStation(stations[static_cast<std::size_t>(slot)], f, next_seq++,
-                    cycle);
-        stations[static_cast<std::size_t>(slot)].timing.station = slot;
+        FillStation(stations[static_cast<std::size_t>(slot)], f, next_seq++);
         tel.OnFetch(cycle, slot, stations[static_cast<std::size_t>(slot)]);
         if (packed) {
           packed_fill_slot(slot, stations[static_cast<std::size_t>(slot)]);

@@ -445,11 +445,9 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
       for (int i = 0; i < fill && !done; ++i) {
         Station& st = stations[static_cast<std::size_t>(i)];
         if (!st.valid) continue;
-        st.timing.commit_cycle = cycle;
         if (isa::IsControlFlow(st.inst().op)) {
           fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
         }
-        result.timeline.push_back(st.timing);
         ++result.committed;
         tel.OnCommit(cycle, i, st);
         if (st.inst().op == isa::Opcode::kHalt) {
@@ -611,14 +609,14 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
               ctx.load_forward = decision.forward;
               ctx.forward_value = decision.value;
             }
-            const bool was_issued = st.issued;
+            const bool was_started = st.started();
             const bool was_finished = st.finished;
             const datapath::RegBinding pre_result = st.result;
             const bool mispredicted = StepStation(
                 st, args_at[static_cast<std::size_t>(i)], ctx,
                 config_.latencies, mem, cycle, i,
                 static_cast<std::uint64_t>(i), inflight, result.stats);
-            tel.OnStep(cycle, i, st, was_issued, was_finished);
+            tel.OnStep(cycle, i, st, was_started, was_finished);
             iss_b.SetTo(i, st.issued);
             fin_b.SetTo(i, st.finished);
             res_b.SetTo(i, st.resolved);
@@ -667,13 +665,13 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           ctx.load_forward = decision.forward;
           ctx.forward_value = decision.value;
         }
-        const bool was_issued = st.issued;
+        const bool was_started = st.started();
         const bool was_finished = st.finished;
         const bool mispredicted = StepStation(
             st, prop.args[static_cast<std::size_t>(i)], ctx,
             config_.latencies, mem, cycle, i, static_cast<std::uint64_t>(i),
             inflight, result.stats);
-        tel.OnStep(cycle, i, st, was_issued, was_finished);
+        tel.OnStep(cycle, i, st, was_started, was_finished);
         if (mispredicted) {
           ++result.stats.mispredictions;
           for (int m = i + 1; m < fill; ++m) {
@@ -741,9 +739,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         ++result.stats.fetch_stall_cycles;
       }
       for (const auto& f : fetch_batch) {
-        FillStation(stations[static_cast<std::size_t>(fill)], f, next_seq++,
-                    cycle);
-        stations[static_cast<std::size_t>(fill)].timing.station = fill;
+        FillStation(stations[static_cast<std::size_t>(fill)], f, next_seq++);
         tel.OnFetch(cycle, fill, stations[static_cast<std::size_t>(fill)]);
         if (packed) {
           packed_fill_slot(fill, stations[static_cast<std::size_t>(fill)]);

@@ -28,10 +28,22 @@ std::string CacheGeometryError(const MemoryConfig& mem) {
             "a positive power of two", c.line_bytes);
     require(c.ports_per_bank >= 1, "mem.cache.ports_per_bank", ">= 1",
             c.ports_per_bank);
+    require(c.hit_latency >= 0, "mem.cache.hit_latency", ">= 0",
+            c.hit_latency);
+    require(c.miss_penalty >= 0, "mem.cache.miss_penalty", ">= 0",
+            c.miss_penalty);
+  } else {
+    require(mem.magic_load_latency >= 0, "mem.magic_load_latency", ">= 0",
+            mem.magic_load_latency);
+    require(mem.magic_store_latency >= 0, "mem.magic_store_latency", ">= 0",
+            mem.magic_store_latency);
   }
   if (mem.cluster_cache_leaves > 0) {
     require(mem.cluster_cache_words >= 1, "mem.cluster_cache_words", ">= 1",
             mem.cluster_cache_words);
+    require(mem.cluster_cache_hit_latency >= 0,
+            "mem.cluster_cache_hit_latency", ">= 0",
+            mem.cluster_cache_hit_latency);
   }
   const std::pair<const CacheLevelConfig*, const char*> levels[] = {
       {&mem.hierarchy.l1i, "l1i"},

@@ -77,12 +77,13 @@ struct MemoryConfig {
   HierarchyConfig hierarchy;
 };
 
-/// Checks the geometry of every cache role @p mem puts in use, and of the
-/// prefetcher: the banked cache unless `mode` is kMagic, the cluster caches
-/// when `cluster_cache_leaves > 0`, and each enabled L1I/L1D/L2 level.
-/// Returns the first violated rule as "<field> must be <rule>, got <value>",
-/// or an empty string. CoreConfig::Validate and the config codec both use
-/// it, so nothing that passes either can trip the models' own asserts.
+/// Checks the geometry and latencies of every memory role @p mem puts in
+/// use, and of the prefetcher: the banked cache unless `mode` is kMagic
+/// (whose latencies are checked instead), the cluster caches when
+/// `cluster_cache_leaves > 0`, and each enabled L1I/L1D/L2 level. Returns
+/// the first violated rule as "<field> must be <rule>, got <value>", or an
+/// empty string. CoreConfig::Validate and the config codec both use it, so
+/// nothing that passes either can trip the models' own asserts.
 [[nodiscard]] std::string CacheGeometryError(const MemoryConfig& mem);
 
 /// Where a MemorySystem cache sits; the role sets its write policy.

@@ -42,7 +42,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x504B4355;  // "UCKP" LE.
 // cache (absent in kMagic) gained dirty/prefetched bits and the per-level
 // stats, the cluster caches moved from word lists to model instances, and
 // the L1D/L2 pair became a role-tagged chain of levels.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// Version 6: the per-instruction timeline left the partial result and each
+// station keeps only its issue and complete cycles, so a checkpoint's size
+// depends on the window and the touched memory, not on the run's length.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 struct CheckpointHeader {
   /// core::ProcessorKind of the core that wrote the blob (stored as the raw

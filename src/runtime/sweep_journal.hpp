@@ -10,9 +10,9 @@
 // fingerprint does not match the points it was handed, so a stale journal
 // can never silently corrupt a different sweep's results.
 //
-// Outcome records deliberately omit wall_seconds (excluded from exports),
-// the per-instruction timeline, and the final memory image (bulky and not
-// exporter-visible); everything WriteCsv/WriteJson reads is present, which
+// Outcome records deliberately omit wall_seconds (excluded from exports)
+// and the final memory image (bulky and not exporter-visible); everything
+// WriteCsv/WriteJson reads is present, which
 // is what makes a resumed sweep's artifact byte-identical. See
 // docs/runtime.md for the field-by-field schema.
 #pragma once

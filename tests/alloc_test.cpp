@@ -6,8 +6,8 @@
 // phase allocated, the long run's allocation count would exceed the short
 // run's by at least the extra simulated cycles (hundreds). The allowed
 // delta only covers amortized container growth that is proportional to
-// *results*, not cycles: the commit timeline and the fetch buffer double
-// O(log extra_instructions) times.
+// *results*, not cycles: the fetch buffer doubles O(log extra_instructions)
+// times.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -6,6 +6,7 @@
 #include "analysis/analysis.hpp"
 #include "analysis/floorplan.hpp"
 #include "core/core.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -49,10 +50,9 @@ TEST(TimingDiagram, RendersFigure3Shape) {
   core::CoreConfig cfg;
   cfg.window_size = 16;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
-  auto proc = core::MakeProcessor(core::ProcessorKind::kUltrascalarI, cfg);
-  const auto result = proc->Run(workloads::Figure3Example());
-  const std::string diagram =
-      analysis::RenderTimingDiagram(result.timeline);
+  const auto run = test::RunTraced(core::ProcessorKind::kUltrascalarI, cfg,
+                                   workloads::Figure3Example());
+  const std::string diagram = analysis::RenderTimingDiagram(run.timeline);
   // The divide occupies ten cells.
   EXPECT_NE(diagram.find("##########"), std::string::npos);
   EXPECT_NE(diagram.find("div r3, r1, r2"), std::string::npos);
@@ -63,10 +63,9 @@ TEST(TimingDiagram, TruncatesLongTimelines) {
   core::CoreConfig cfg;
   cfg.window_size = 16;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
-  auto proc = core::MakeProcessor(core::ProcessorKind::kUltrascalarI, cfg);
-  const auto result = proc->Run(workloads::Fibonacci(30));
-  const std::string diagram =
-      analysis::RenderTimingDiagram(result.timeline, 8);
+  const auto run = test::RunTraced(core::ProcessorKind::kUltrascalarI, cfg,
+                                   workloads::Fibonacci(30));
+  const std::string diagram = analysis::RenderTimingDiagram(run.timeline, 8);
   EXPECT_NE(diagram.find("more)"), std::string::npos);
 }
 
@@ -80,22 +79,22 @@ TEST(Locality, SerialChainIsFullyLocal) {
   core::CoreConfig cfg;
   cfg.window_size = 16;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
-  auto proc = core::MakeProcessor(core::ProcessorKind::kIdeal, cfg);
-  const auto result = proc->Run(workloads::DependencyChains(
-      {.num_instructions = 64, .ilp = 1}));
-  EXPECT_NEAR(
-      analysis::LocalCommunicationFraction(result.timeline, 1), 1.0, 0.05);
+  const auto run = test::RunTraced(
+      core::ProcessorKind::kIdeal, cfg,
+      workloads::DependencyChains({.num_instructions = 64, .ilp = 1}));
+  EXPECT_NEAR(analysis::LocalCommunicationFraction(run.timeline, 1), 1.0,
+              0.05);
 }
 
 TEST(Locality, InterleavedChainsAreLocalOnlyAtTheirStride) {
   core::CoreConfig cfg;
   cfg.window_size = 32;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
-  auto proc = core::MakeProcessor(core::ProcessorKind::kIdeal, cfg);
-  const auto result = proc->Run(workloads::DependencyChains(
-      {.num_instructions = 64, .ilp = 8}));
-  EXPECT_LT(analysis::LocalCommunicationFraction(result.timeline, 4), 0.2);
-  EXPECT_GT(analysis::LocalCommunicationFraction(result.timeline, 8), 0.9);
+  const auto run = test::RunTraced(
+      core::ProcessorKind::kIdeal, cfg,
+      workloads::DependencyChains({.num_instructions = 64, .ilp = 8}));
+  EXPECT_LT(analysis::LocalCommunicationFraction(run.timeline, 4), 0.2);
+  EXPECT_GT(analysis::LocalCommunicationFraction(run.timeline, 8), 0.9);
 }
 
 // --- Floorplan renderings (Figures 6 and 10) ------------------------------------

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra::core {
 namespace {
+
+using test::RunTraced;
 
 RunResult RunProc(ProcessorKind kind, const isa::Program& program,
                   const CoreConfig& cfg) {
@@ -60,11 +63,12 @@ TEST(LatencyOverride, ChangesTheFigure3Schedule) {
   cfg.window_size = 16;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
   cfg.latencies.Set(isa::OpClass::kIntDiv, 5);
-  const auto result = RunProc(ProcessorKind::kUltrascalarI, program, cfg);
-  ASSERT_TRUE(result.halted);
-  const std::uint64_t t0 = result.timeline.front().issue_cycle;
-  EXPECT_EQ(result.timeline[1].issue_cycle - t0, 5u);   // add r0, r0, r3.
-  EXPECT_EQ(result.timeline[3].issue_cycle - t0, 6u);   // add r1, r0, r1.
+  const auto run = RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
+  ASSERT_TRUE(run.halted);
+  ASSERT_EQ(run.timeline.size(), 9u);
+  const std::uint64_t t0 = run.timeline.front().issue_cycle;
+  EXPECT_EQ(run.timeline[1].issue_cycle - t0, 5u);   // add r0, r0, r3.
+  EXPECT_EQ(run.timeline[3].issue_cycle - t0, 6u);   // add r1, r0, r1.
 }
 
 TEST(LatencyOverride, SingleCycleDivideCollapsesTheSchedule) {
@@ -74,11 +78,12 @@ TEST(LatencyOverride, SingleCycleDivideCollapsesTheSchedule) {
   cfg.mem.mode = memory::MemTimingMode::kMagic;
   cfg.latencies.Set(isa::OpClass::kIntDiv, 1);
   cfg.latencies.Set(isa::OpClass::kIntMul, 1);
-  const auto result = RunProc(ProcessorKind::kIdeal, program, cfg);
+  const auto run = RunTraced(ProcessorKind::kIdeal, cfg, program);
+  ASSERT_FALSE(run.timeline.empty());
   // Longest chain: div -> add -> add, one cycle each.
-  const std::uint64_t t0 = result.timeline.front().issue_cycle;
+  const std::uint64_t t0 = run.timeline.front().issue_cycle;
   std::uint64_t last = 0;
-  for (const auto& t : result.timeline) {
+  for (const auto& t : run.timeline) {
     last = std::max(last, t.complete_cycle - t0);
   }
   EXPECT_EQ(last, 2u);
@@ -131,11 +136,12 @@ TEST(TimingRecords, AreWellFormedOnEveryProcessor) {
        {ProcessorKind::kIdeal, ProcessorKind::kUltrascalarI,
         ProcessorKind::kUltrascalarII, ProcessorKind::kHybrid}) {
     SCOPED_TRACE(ProcessorKindName(kind));
-    const auto result = RunProc(kind, program, cfg);
-    ASSERT_TRUE(result.halted);
+    const auto run = RunTraced(kind, cfg, program);
+    ASSERT_TRUE(run.halted);
+    EXPECT_EQ(run.timeline.size(), run.committed);
     std::uint64_t prev_seq = 0;
     bool first = true;
-    for (const auto& t : result.timeline) {
+    for (const auto& t : run.timeline) {
       // Commit order == program order (sequence numbers increase).
       if (!first) {
         EXPECT_GT(t.seq, prev_seq);
@@ -161,9 +167,9 @@ TEST(TimingRecords, CommitCyclesAreMonotone) {
        {ProcessorKind::kIdeal, ProcessorKind::kUltrascalarI,
         ProcessorKind::kUltrascalarII, ProcessorKind::kHybrid}) {
     SCOPED_TRACE(ProcessorKindName(kind));
-    const auto result = RunProc(kind, program, cfg);
+    const auto run = RunTraced(kind, cfg, program);
     std::uint64_t prev = 0;
-    for (const auto& t : result.timeline) {
+    for (const auto& t : run.timeline) {
       EXPECT_GE(t.commit_cycle, prev);
       prev = t.commit_cycle;
     }
@@ -274,8 +280,8 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
        {ProcessorKind::kIdeal, ProcessorKind::kUltrascalarI,
         ProcessorKind::kUltrascalarII, ProcessorKind::kHybrid}) {
     SCOPED_TRACE(ProcessorKindName(kind));
-    const auto a = RunProc(kind, program, cfg);
-    const auto b = RunProc(kind, program, cfg);
+    const auto a = RunTraced(kind, cfg, program);
+    const auto b = RunTraced(kind, cfg, program);
     ASSERT_EQ(a.cycles, b.cycles);
     ASSERT_EQ(a.regs, b.regs);
     ASSERT_EQ(a.timeline.size(), b.timeline.size());

@@ -6,10 +6,13 @@
 #include <random>
 
 #include "core/core.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra::core {
 namespace {
+
+using test::RunTraced;
 
 CoreConfig BaseConfig() {
   CoreConfig cfg;
@@ -316,8 +319,8 @@ TEST_P(RandomTimingEquivalence, UsiEqualsIdealOnRandomStraightLine) {
                                              .seed = GetParam()});
   auto cfg = BaseConfig();
   cfg.window_size = 48;
-  const auto ideal = RunProc(ProcessorKind::kIdeal, program, cfg);
-  const auto usi = RunProc(ProcessorKind::kUltrascalarI, program, cfg);
+  const auto ideal = RunTraced(ProcessorKind::kIdeal, cfg, program);
+  const auto usi = RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
   EXPECT_EQ(usi.cycles, ideal.cycles);
   ASSERT_EQ(usi.timeline.size(), ideal.timeline.size());
   for (std::size_t k = 0; k < ideal.timeline.size(); ++k) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hpp"
+#include "trace_timeline.hpp"
 
 namespace ultra::core {
 namespace {
@@ -44,6 +45,14 @@ RunResult RunOn(ProcessorKind kind, const isa::Program& program,
   auto result = proc->Run(program);
   EXPECT_TRUE(result.halted) << ProcessorKindName(kind) << " did not halt";
   return result;
+}
+
+/// RunOn plus the schedule rebuilt from a traced rerun.
+test::TracedRun RunOnTraced(ProcessorKind kind, const isa::Program& program,
+                            const CoreConfig& cfg) {
+  test::TracedRun run{RunOn(kind, program, cfg), {}};
+  run.timeline = test::TracedTimeline(kind, cfg, program, run);
+  return run;
 }
 
 void ExpectMatchesFunctional(const isa::Program& program,
@@ -84,7 +93,7 @@ TEST(Figure3, IssueTimesMatchThePaperTimingDiagram) {
        {ProcessorKind::kIdeal, ProcessorKind::kUltrascalarI,
         ProcessorKind::kUltrascalarII, ProcessorKind::kHybrid}) {
     SCOPED_TRACE(ProcessorKindName(kind));
-    const auto result = RunOn(kind, program, cfg);
+    const auto result = RunOnTraced(kind, program, cfg);
     ASSERT_EQ(result.timeline.size(), 9u);  // 8 ops + halt.
     const std::uint64_t t0 = result.timeline.front().issue_cycle;
     for (std::size_t k = 0; k < 8; ++k) {
@@ -260,9 +269,10 @@ class TimingEquivalence : public testing::TestWithParam<ProgramCase> {};
 // The Ideal side runs its plain rename-table reference loop (Ideal runs its
 // packed loop under every other DatapathEval), so the Figure 3 equivalence
 // claim rests on the simplest model of the baseline.
-RunResult RunIdealReference(const isa::Program& program, CoreConfig cfg) {
+test::TracedRun RunIdealReference(const isa::Program& program,
+                                  CoreConfig cfg) {
   cfg.datapath_eval = DatapathEval::kFullRecompute;
-  return RunOn(ProcessorKind::kIdeal, program, cfg);
+  return RunOnTraced(ProcessorKind::kIdeal, program, cfg);
 }
 
 TEST_P(TimingEquivalence, UltrascalarIMatchesIdealCycleForCycle) {
@@ -270,7 +280,7 @@ TEST_P(TimingEquivalence, UltrascalarIMatchesIdealCycleForCycle) {
   auto cfg = DefaultConfig();
   cfg.window_size = 64;  // Ample window: the dataflow limit governs.
   const auto ideal = RunIdealReference(program, cfg);
-  const auto usi = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+  const auto usi = RunOnTraced(ProcessorKind::kUltrascalarI, program, cfg);
   EXPECT_EQ(usi.cycles, ideal.cycles);
   ASSERT_EQ(usi.timeline.size(), ideal.timeline.size());
   for (std::size_t k = 0; k < ideal.timeline.size(); ++k) {
@@ -289,7 +299,7 @@ TEST_P(TimingEquivalence, HybridMatchesIdealIssueTimes) {
   cfg.window_size = 64;
   cfg.cluster_size = 8;
   const auto ideal = RunIdealReference(program, cfg);
-  const auto hybrid = RunOn(ProcessorKind::kHybrid, program, cfg);
+  const auto hybrid = RunOnTraced(ProcessorKind::kHybrid, program, cfg);
   ASSERT_EQ(hybrid.timeline.size(), ideal.timeline.size());
   for (std::size_t k = 0; k < ideal.timeline.size(); ++k) {
     SCOPED_TRACE(k);

@@ -15,6 +15,7 @@
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "fault/plan_codec.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -258,7 +259,7 @@ TEST_P(ScalableCores, StallsOnlyDelayExecution) {
   ExpectMatchesFunctional(program, result, cfg.num_regs);
 }
 
-bool SameRun(const core::RunResult& a, const core::RunResult& b) {
+bool SameRun(const test::TracedRun& a, const test::TracedRun& b) {
   if (a.halted != b.halted || a.cycles != b.cycles ||
       a.committed != b.committed || a.regs != b.regs ||
       a.memory != b.memory || a.timeline.size() != b.timeline.size()) {
@@ -289,10 +290,12 @@ TEST(PipelinedFaults, DatapathFaultsReachPipelinedStations) {
     cfg.mem.mode = memory::MemTimingMode::kMagic;
     cfg.pipeline_levels_per_stage = levels;
     cfg.datapath_eval = DatapathEval::kPacked;
-    const auto clean = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+    const auto clean =
+        test::RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
     cfg.fault_plan = std::make_shared<const FaultPlan>(
         FaultPlan::Random(424242, 0.05, 20000, kinds));
-    const auto faulted = RunOn(ProcessorKind::kUltrascalarI, program, cfg);
+    const auto faulted =
+        test::RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
     EXPECT_GT(faulted.stats.fault.injected, 0u);
     EXPECT_FALSE(SameRun(faulted, clean))
         << "no injected datapath fault reached a station";
@@ -314,19 +317,19 @@ TEST(HybridFaults, StallFollowsItsStationAcrossClusterDeallocation) {
   CoreConfig cfg = BaseConfig();
   cfg.window_size = 16;
   cfg.cluster_size = 4;
-  const auto clean = RunOn(ProcessorKind::kHybrid, program, cfg);
+  const auto clean = test::RunTraced(ProcessorKind::kHybrid, cfg, program);
   ASSERT_TRUE(clean.halted);
 
   // A cycle on which the head cluster deallocates (its last slot commits)
   // while a younger instruction sits fetched but not yet issued, and would
   // issue within the stall's eight cycles without it.
   constexpr int kStall = 8;  // payload 7 -> 7 % 8 + 1 cycles.
-  const core::InstrTiming* victim = nullptr;
+  const analysis::InstrTiming* victim = nullptr;
   std::uint64_t dealloc_cycle = 0;
-  for (const core::InstrTiming& last : clean.timeline) {
+  for (const analysis::InstrTiming& last : clean.timeline) {
     if (last.station % cfg.cluster_size != cfg.cluster_size - 1) continue;
     const std::uint64_t c = last.commit_cycle;
-    for (const core::InstrTiming& t : clean.timeline) {
+    for (const analysis::InstrTiming& t : clean.timeline) {
       if (t.fetch_cycle < c && t.issue_cycle > c &&
           t.issue_cycle < c + kStall) {
         victim = &t;
@@ -343,11 +346,11 @@ TEST(HybridFaults, StallFollowsItsStationAcrossClusterDeallocation) {
   cfg.fault_plan = std::make_shared<const FaultPlan>(FaultPlan(
       {{dealloc_cycle, FaultKind::kStallStation, victim->station, 0,
         kStall - 1}}));
-  const auto stalled = RunOn(ProcessorKind::kHybrid, program, cfg);
+  const auto stalled = test::RunTraced(ProcessorKind::kHybrid, cfg, program);
   ASSERT_TRUE(stalled.halted);
   ExpectMatchesFunctional(program, stalled, cfg.num_regs);
-  const core::InstrTiming* same = nullptr;
-  for (const core::InstrTiming& t : stalled.timeline) {
+  const analysis::InstrTiming* same = nullptr;
+  for (const analysis::InstrTiming& t : stalled.timeline) {
     if (t.seq == victim->seq) same = &t;
   }
   ASSERT_NE(same, nullptr);

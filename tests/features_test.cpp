@@ -7,6 +7,7 @@
 
 #include "core/core.hpp"
 #include "datapath/scheduler.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -171,8 +172,8 @@ TEST(SharedAlusBehavior, UltrascalarIStillMatchesIdealCycleForCycle) {
   auto cfg = BaseConfig();
   cfg.window_size = 64;
   cfg.num_alus = 3;
-  const auto ideal = RunProc(ProcessorKind::kIdeal, program, cfg);
-  const auto usi = RunProc(ProcessorKind::kUltrascalarI, program, cfg);
+  const auto ideal = test::RunTraced(ProcessorKind::kIdeal, cfg, program);
+  const auto usi = test::RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
   EXPECT_EQ(usi.cycles, ideal.cycles);
   ASSERT_EQ(usi.timeline.size(), ideal.timeline.size());
   for (std::size_t k = 0; k < ideal.timeline.size(); ++k) {

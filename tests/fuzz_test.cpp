@@ -15,6 +15,7 @@
 #include "runtime/sweep_journal.hpp"
 #include "service/protocol.hpp"
 #include "telemetry/snapshot_codec.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -175,6 +176,7 @@ void ExpectIncrementalMatchesFullRecompute(const isa::Program& program,
     SCOPED_TRACE(core::ProcessorKindName(kind));
     cfg.datapath_eval = core::DatapathEval::kFullRecompute;
     const auto full = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto full_timeline = test::TracedTimeline(kind, cfg, program, full);
     for (const auto eval :
          {core::DatapathEval::kIncremental, core::DatapathEval::kPacked}) {
       SCOPED_TRACE(eval == core::DatapathEval::kPacked ? "packed"
@@ -191,16 +193,8 @@ void ExpectIncrementalMatchesFullRecompute(const isa::Program& program,
                 full.stats.squashed_instructions);
       ASSERT_EQ(incr.stats.fetch_stall_cycles, full.stats.fetch_stall_cycles);
       ASSERT_EQ(incr.stats.window_full_cycles, full.stats.window_full_cycles);
-      ASSERT_EQ(incr.timeline.size(), full.timeline.size());
-      for (std::size_t t = 0; t < incr.timeline.size(); ++t) {
-        ASSERT_EQ(incr.timeline[t].issue_cycle, full.timeline[t].issue_cycle)
-            << "t=" << t;
-        ASSERT_EQ(incr.timeline[t].complete_cycle,
-                  full.timeline[t].complete_cycle)
-            << "t=" << t;
-        ASSERT_EQ(incr.timeline[t].commit_cycle, full.timeline[t].commit_cycle)
-            << "t=" << t;
-      }
+      test::ExpectSameTimeline(
+          test::TracedTimeline(kind, cfg, program, incr), full_timeline);
     }
   }
 }
@@ -251,7 +245,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EvalPathFuzz, testing::Range(900u, 912u),
 
 // Checkpoint/restore fuzz: checkpoint every core at a seed-derived cycle
 // mid-run and require the resumed run to finish indistinguishably from the
-// uninterrupted one — full RunResult equality, timeline included. This is
+// uninterrupted one — full RunResult equality, and a traced resume records
+// exactly the uninterrupted run's events from the checkpoint on. This is
 // the randomized complement to persist_test's fixed-cycle coverage.
 void ExpectCheckpointRoundTrip(const isa::Program& program,
                                const CoreConfig& cfg, unsigned seed) {
@@ -286,22 +281,7 @@ void ExpectCheckpointRoundTrip(const isa::Program& program,
     ASSERT_EQ(resumed.stats.fault.injected, base.stats.fault.injected);
     ASSERT_EQ(resumed.stats.fault.divergences, base.stats.fault.divergences);
     ASSERT_EQ(resumed.stats.fault.resyncs, base.stats.fault.resyncs);
-    ASSERT_EQ(resumed.timeline.size(), base.timeline.size());
-    for (std::size_t t = 0; t < resumed.timeline.size(); ++t) {
-      ASSERT_EQ(resumed.timeline[t].seq, base.timeline[t].seq) << "t=" << t;
-      ASSERT_EQ(resumed.timeline[t].station, base.timeline[t].station)
-          << "t=" << t;
-      ASSERT_EQ(resumed.timeline[t].fetch_cycle, base.timeline[t].fetch_cycle)
-          << "t=" << t;
-      ASSERT_EQ(resumed.timeline[t].issue_cycle, base.timeline[t].issue_cycle)
-          << "t=" << t;
-      ASSERT_EQ(resumed.timeline[t].complete_cycle,
-                base.timeline[t].complete_cycle)
-          << "t=" << t;
-      ASSERT_EQ(resumed.timeline[t].commit_cycle,
-                base.timeline[t].commit_cycle)
-          << "t=" << t;
-    }
+    test::ExpectResumedTraceMatches(kind, cfg, program, ckpt, base);
   }
 }
 

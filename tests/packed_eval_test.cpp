@@ -1,7 +1,8 @@
 // Differential tests for the bit-packed word-parallel datapath evaluation
 // (CoreConfig::datapath_eval = kPacked): on every core kind the packed
 // path must reproduce the full-recompute reference and the incremental
-// path byte for byte — the complete RunResult, timeline included — across
+// path byte for byte — the complete RunResult, and the schedule a traced
+// rerun records — across
 // window sizes that exercise partial words, shared ALUs, real memory
 // models, speculation, and squashes, and on real kernels and a recorded
 // trace at windows up to 1024. Store forwarding, telemetry and pipelined
@@ -19,6 +20,7 @@
 #include "fault/fault_plan.hpp"
 #include "runtime/ensemble.hpp"
 #include "runtime/runtime.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -48,33 +50,26 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.stats.window_full_cycles, b.stats.window_full_cycles);
   ASSERT_EQ(a.stats.fault.injected, b.stats.fault.injected);
   ASSERT_EQ(a.stats.fault.squashes, b.stats.fault.squashes);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t t = 0; t < a.timeline.size(); ++t) {
-    ASSERT_EQ(a.timeline[t].seq, b.timeline[t].seq) << "t=" << t;
-    ASSERT_EQ(a.timeline[t].station, b.timeline[t].station) << "t=" << t;
-    ASSERT_EQ(a.timeline[t].pc, b.timeline[t].pc) << "t=" << t;
-    ASSERT_EQ(a.timeline[t].fetch_cycle, b.timeline[t].fetch_cycle)
-        << "t=" << t;
-    ASSERT_EQ(a.timeline[t].issue_cycle, b.timeline[t].issue_cycle)
-        << "t=" << t;
-    ASSERT_EQ(a.timeline[t].complete_cycle, b.timeline[t].complete_cycle)
-        << "t=" << t;
-    ASSERT_EQ(a.timeline[t].commit_cycle, b.timeline[t].commit_cycle)
-        << "t=" << t;
-  }
+}
+
+/// ExpectSameRun on the untraced results plus equal traced schedules.
+void ExpectSameRun(const test::TracedRun& a, const test::TracedRun& b) {
+  ExpectSameRun(static_cast<const RunResult&>(a),
+                static_cast<const RunResult&>(b));
+  test::ExpectSameTimeline(a.timeline, b.timeline);
 }
 
 /// Runs @p cfg under all three evaluation paths on every core kind and
-/// requires byte-identical results.
+/// requires byte-identical results and schedules.
 void ExpectAllEvalPathsAgree(const isa::Program& program, CoreConfig cfg) {
   for (const auto kind : kAllKinds) {
     SCOPED_TRACE(core::ProcessorKindName(kind));
     cfg.datapath_eval = DatapathEval::kFullRecompute;
-    const RunResult full = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto full = test::RunTraced(kind, cfg, program);
     cfg.datapath_eval = DatapathEval::kIncremental;
-    const RunResult incr = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto incr = test::RunTraced(kind, cfg, program);
     cfg.datapath_eval = DatapathEval::kPacked;
-    const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto packed = test::RunTraced(kind, cfg, program);
     {
       SCOPED_TRACE("incremental vs full");
       ExpectSameRun(incr, full);
@@ -184,9 +179,9 @@ TEST(PackedEvalFallbackFree, FaultInjectionRunsPackedUnchanged) {
     cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
         fault::FaultPlan::Random(21, 0.05, 300, kControl));
     cfg.datapath_eval = DatapathEval::kPacked;
-    const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto packed = test::RunTraced(kind, cfg, program);
     cfg.datapath_eval = DatapathEval::kChecked;
-    const RunResult checked = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto checked = test::RunTraced(kind, cfg, program);
     ExpectSameRun(checked, packed);
     EXPECT_EQ(checked.stats.fault.divergences, 0u);
     // The Ideal core models no delivery hardware to corrupt; only the
@@ -216,9 +211,9 @@ TEST(PackedEvalFallbackFree, StoreForwardingRunsPackedUnchanged) {
     cfg.store_forwarding = true;
     cfg.mem.mode = memory::MemTimingMode::kBandwidthLimited;
     cfg.datapath_eval = DatapathEval::kFullRecompute;
-    const RunResult full = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto full = test::RunTraced(kind, cfg, program);
     cfg.datapath_eval = DatapathEval::kPacked;
-    const RunResult packed = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto packed = test::RunTraced(kind, cfg, program);
     ExpectSameRun(packed, full);
     EXPECT_GT(packed.stats.forwarded_loads, 0u);
   }
@@ -234,17 +229,18 @@ TEST(PackedEvalFallbackFree, PipelinedDatapathRunsPackedUnchanged) {
   cfg.pipeline_levels_per_stage = 2;
   cfg.mem.mode = memory::MemTimingMode::kMagic;
   cfg.datapath_eval = DatapathEval::kIncremental;
-  const RunResult incr =
-      core::MakeProcessor(ProcessorKind::kUltrascalarI, cfg)->Run(program);
+  const auto incr = test::RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
   cfg.datapath_eval = DatapathEval::kPacked;
-  const RunResult packed =
-      core::MakeProcessor(ProcessorKind::kUltrascalarI, cfg)->Run(program);
+  const auto packed =
+      test::RunTraced(ProcessorKind::kUltrascalarI, cfg, program);
   ExpectSameRun(packed, incr);
 }
 
 // Checkpoint/restore under packed evaluation: save mid-run, restore, and
 // require the resumed run to be indistinguishable from the uninterrupted
-// packed run — which itself must match the full-recompute run.
+// packed run — which itself must match the full-recompute run — and a
+// traced resume to record the uninterrupted run's events from the restore
+// point on.
 TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
   const auto program = workloads::RandomForwardDag(
       {.num_blocks = 60, .block_size = 6, .seed = 9});
@@ -255,10 +251,10 @@ TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
     cfg.predictor = core::PredictorKind::kTwoBit;
     cfg.mem.mode = memory::MemTimingMode::kMagic;
     cfg.datapath_eval = DatapathEval::kFullRecompute;
-    const RunResult full = core::MakeProcessor(kind, cfg)->Run(program);
+    const auto full = test::RunTraced(kind, cfg, program);
     cfg.datapath_eval = DatapathEval::kPacked;
     const auto proc = core::MakeProcessor(kind, cfg);
-    const RunResult packed = proc->Run(program);
+    const auto packed = test::RunTraced(kind, cfg, program);
     ExpectSameRun(packed, full);
     ASSERT_TRUE(packed.halted);
     ASSERT_GT(packed.cycles, 2u);
@@ -268,6 +264,7 @@ TEST(PackedEvalCheckpoint, RoundTripsMatchUninterruptedRun) {
       const persist::Checkpoint ckpt = proc->SaveCheckpoint(program, cycle);
       const RunResult resumed = proc->RestoreCheckpoint(program, ckpt);
       ExpectSameRun(resumed, packed);
+      test::ExpectResumedTraceMatches(kind, cfg, program, ckpt, packed);
     }
   }
 }
@@ -313,6 +310,7 @@ TEST(PackedEvalCheckpoint, RoundTripsUnderLiveFaultPlan) {
         ASSERT_EQ(resumed.stats.fault.divergences,
                   base.stats.fault.divergences);
         ASSERT_EQ(resumed.stats.fault.resyncs, base.stats.fault.resyncs);
+        test::ExpectResumedTraceMatches(c.kind, cfg, program, ckpt, base);
       }
     }
   }

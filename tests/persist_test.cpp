@@ -19,6 +19,7 @@
 #include "persist/journal.hpp"
 #include "persist/serial.hpp"
 #include "runtime/runtime.hpp"
+#include "trace_timeline.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ultra {
@@ -52,9 +53,8 @@ class TempDir {
   std::filesystem::path path_;
 };
 
-/// Full-state equality: everything RunResult carries, including the
-/// per-instruction timeline — the restored run must be indistinguishable
-/// from the uninterrupted one.
+/// Full-state equality: everything RunResult carries — the restored run
+/// must be indistinguishable from the uninterrupted one.
 void ExpectSameResult(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(a.halted, b.halted);
   EXPECT_EQ(a.cycles, b.cycles);
@@ -92,22 +92,12 @@ void ExpectSameResult(const core::RunResult& a, const core::RunResult& b) {
             b.stats.mem_hierarchy.prefetch_fills);
   EXPECT_EQ(a.stats.mem_hierarchy.prefetch_useful,
             b.stats.mem_hierarchy.prefetch_useful);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    const core::InstrTiming& x = a.timeline[i];
-    const core::InstrTiming& y = b.timeline[i];
-    ASSERT_EQ(x.seq, y.seq) << "timeline[" << i << "]";
-    ASSERT_EQ(x.station, y.station) << "timeline[" << i << "]";
-    ASSERT_EQ(x.pc, y.pc) << "timeline[" << i << "]";
-    ASSERT_EQ(x.fetch_cycle, y.fetch_cycle) << "timeline[" << i << "]";
-    ASSERT_EQ(x.issue_cycle, y.issue_cycle) << "timeline[" << i << "]";
-    ASSERT_EQ(x.complete_cycle, y.complete_cycle) << "timeline[" << i << "]";
-    ASSERT_EQ(x.commit_cycle, y.commit_cycle) << "timeline[" << i << "]";
-  }
 }
 
 /// Checkpoint at @p cycle, restore, and require the resumed run to be
-/// indistinguishable from @p base (the uninterrupted run).
+/// indistinguishable from @p base (the uninterrupted run), and a traced
+/// resume to record exactly the uninterrupted run's events from @p cycle
+/// on.
 void ExpectCheckpointExact(ProcessorKind kind, const CoreConfig& cfg,
                           const isa::Program& program,
                           const core::RunResult& base, std::uint64_t cycle) {
@@ -118,6 +108,7 @@ void ExpectCheckpointExact(ProcessorKind kind, const CoreConfig& cfg,
   EXPECT_EQ(ckpt.header.core_kind, static_cast<std::uint8_t>(kind));
   const core::RunResult resumed = proc->RestoreCheckpoint(program, ckpt);
   ExpectSameResult(resumed, base);
+  test::ExpectResumedTraceMatches(kind, cfg, program, ckpt, base);
 }
 
 // --- Encoder / Decoder ---------------------------------------------------
@@ -174,8 +165,8 @@ TEST(CheckpointFile, GoldenHeaderBytesLockTheFormatVersion) {
   ckpt.state = {0xDE, 0xAD};
   const std::vector<std::uint8_t> bytes = persist::EncodeCheckpoint(ckpt);
   ASSERT_GE(bytes.size(), 8u);
-  // Version 5: every MemorySystem cache is saved as one CacheLevelModel.
-  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 5, 0, 0, 0};
+  // Version 6: checkpoints no longer carry the per-instruction timeline.
+  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 6, 0, 0, 0};
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(bytes[static_cast<std::size_t>(i)], golden[i]) << "byte " << i;
   }
@@ -444,6 +435,41 @@ TEST(ConfigCodec, RejectsCorruptHierarchyGeometry) {
   });
 }
 
+TEST(ConfigCodec, RejectsNegativeMemoryLatencies) {
+  // A negative latency of a memory role in use decodes as a FormatError
+  // naming the field, never as an access that cannot complete.
+  const auto corrupt = [](const char* field, void (*mutate)(CoreConfig&)) {
+    CoreConfig cfg;
+    mutate(cfg);
+    persist::Encoder e;
+    core::EncodeCoreConfig(e, cfg);
+    persist::Decoder d(e.bytes());
+    try {
+      (void)core::DecodeCoreConfig(d);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const persist::FormatError& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  corrupt("mem.cache.hit_latency", [](CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kButterfly;
+    c.mem.cache.hit_latency = -1;
+  });
+  corrupt("mem.cache.miss_penalty", [](CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kFatTree;
+    c.mem.cache.miss_penalty = -4;
+  });
+  corrupt("mem.cluster_cache_hit_latency", [](CoreConfig& c) {
+    c.mem.cluster_cache_leaves = 2;
+    c.mem.cluster_cache_hit_latency = -1;
+  });
+  corrupt("mem.magic_load_latency",
+          [](CoreConfig& c) { c.mem.magic_load_latency = -1; });
+  corrupt("mem.magic_store_latency",
+          [](CoreConfig& c) { c.mem.magic_store_latency = -7; });
+}
+
 TEST(ProgramCodec, RoundTripPreservesFingerprint) {
   const isa::Program program = workloads::Fibonacci(24);
   persist::Encoder e;
@@ -647,8 +673,36 @@ TEST(Checkpoint, IdealCheckpointsAreInterchangeableBetweenItsLoops) {
         from_reference[i].header = saved[i].header;
         ExpectSameResult(proc->RestoreCheckpoint(k.program, from_reference[i]),
                          base);
+        test::ExpectResumedTraceMatches(ProcessorKind::kIdeal, cfg, k.program,
+                                        from_reference[i], base);
       }
     }
+  }
+}
+
+// A checkpoint holds the machine, not its history: on a loop that touches
+// no memory, one taken 20k cycles in is no larger than one taken at cycle
+// 1k, on every core.
+TEST(Checkpoint, SizeDoesNotGrowWithRunLength) {
+  const isa::Program loop = isa::AssembleOrDie(R"(
+    loop: addi r1, r1, 1
+          addi r2, r2, 3
+          jmp loop
+  )");
+  for (const auto kind : kAllKinds) {
+    SCOPED_TRACE(core::ProcessorKindName(kind));
+    CoreConfig cfg;
+    cfg.window_size = 64;
+    cfg.cluster_size = 8;
+    cfg.mem.mode = memory::MemTimingMode::kMagic;
+    cfg.max_cycles = 100'000;
+    const auto proc = core::MakeProcessor(kind, cfg);
+    const std::size_t early =
+        persist::EncodeCheckpoint(proc->SaveCheckpoint(loop, 1'000)).size();
+    const std::size_t late =
+        persist::EncodeCheckpoint(proc->SaveCheckpoint(loop, 20'000)).size();
+    EXPECT_LE(late, early) << "cycle 1000: " << early
+                           << " bytes, cycle 20000: " << late << " bytes";
   }
 }
 

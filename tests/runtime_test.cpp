@@ -198,20 +198,26 @@ TEST(SweepRunner, InvalidConfigFailsThePointNotTheSweep) {
   points[5].config.mem.cluster_cache_words = 0;
   // kMagic never builds the banked cache, so its geometry is irrelevant.
   points[6].config.mem.cache.num_banks = 3;
+  // More registers than the ISA names used to abort the scalable
+  // datapaths' constructors; a negative latency, to hang the access.
+  points[2].config.num_regs = isa::kMaxLogicalRegisters + 1;  // USI.
+  points[7].config.mem.magic_load_latency = -3;
   const auto outcomes =
       runtime::SweepRunner({.num_threads = 2, .max_attempts = 3}).Run(points);
   const std::pair<std::size_t, const char*> rejected[] = {
       {1, "window_size"},
+      {2, "num_regs"},
       {3, "mem.cache.num_banks"},
       {4, "mem.cache.ways"},
-      {5, "mem.cluster_cache_words"}};
+      {5, "mem.cluster_cache_words"},
+      {7, "mem.magic_load_latency"}};
   for (const auto& [index, field] : rejected) {
     EXPECT_FALSE(outcomes[index].ok) << field;
     EXPECT_NE(outcomes[index].error.find(field), std::string::npos)
         << outcomes[index].error;
     EXPECT_EQ(outcomes[index].attempts, 1) << field;  // Never retried.
   }
-  for (const std::size_t ok : {0, 2, 6, 7}) {
+  for (const std::size_t ok : {0, 6}) {
     EXPECT_TRUE(outcomes[ok].ok) << outcomes[ok].error;
   }
 }
@@ -415,6 +421,18 @@ TEST(ValidateConfig, RejectsDegenerateFields) {
   expect_rejected([](core::CoreConfig& c) { c.window_size = 0; });
   expect_rejected([](core::CoreConfig& c) { c.window_size = -4; });
   expect_rejected([](core::CoreConfig& c) { c.num_regs = 0; });
+  // The ISA names 64 registers; the scalable datapaths assert on more.
+  for (const auto kind :
+       {core::ProcessorKind::kIdeal, core::ProcessorKind::kUltrascalarI,
+        core::ProcessorKind::kUltrascalarII, core::ProcessorKind::kHybrid}) {
+    core::CoreConfig cfg;
+    cfg.num_regs = isa::kMaxLogicalRegisters + 1;
+    EXPECT_THROW((void)core::MakeProcessor(kind, cfg), std::invalid_argument)
+        << core::ProcessorKindName(kind);
+    cfg.num_regs = isa::kMaxLogicalRegisters;
+    EXPECT_NO_THROW((void)core::MakeProcessor(kind, cfg))
+        << core::ProcessorKindName(kind);
+  }
   expect_rejected([](core::CoreConfig& c) { c.max_cycles = 0; });
   expect_rejected([](core::CoreConfig& c) { c.num_alus = -1; });
   expect_rejected([](core::CoreConfig& c) { c.fetch_width = -1; });
@@ -432,6 +450,37 @@ TEST(ValidateConfig, RejectsDegenerateFields) {
   expect_rejected([](core::CoreConfig& c) {
     c.mem.cluster_cache_leaves = 4;
     c.mem.cluster_cache_words = 0;
+  });
+  // Negative latencies of every memory role in use, each named.
+  const auto expect_named = [](const char* field, auto mutate) {
+    core::CoreConfig cfg;
+    mutate(cfg);
+    try {
+      cfg.Validate();
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named("mem.cache.hit_latency", [](core::CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kFatTree;
+    c.mem.cache.hit_latency = -1;
+  });
+  expect_named("mem.cache.miss_penalty", [](core::CoreConfig& c) {
+    c.mem.mode = memory::MemTimingMode::kBandwidthLimited;
+    c.mem.cache.miss_penalty = -10;
+  });
+  expect_named("mem.cluster_cache_hit_latency", [](core::CoreConfig& c) {
+    c.mem.cluster_cache_leaves = 4;
+    c.mem.cluster_cache_hit_latency = -1;
+  });
+  expect_named("mem.magic_load_latency",
+               [](core::CoreConfig& c) { c.mem.magic_load_latency = -2; });
+  expect_named("mem.magic_store_latency",
+               [](core::CoreConfig& c) { c.mem.magic_store_latency = -1; });
+  expect_named("num_regs", [](core::CoreConfig& c) {
+    c.num_regs = isa::kMaxLogicalRegisters + 1;
   });
   // The banked cache takes any number of sets per bank and lines below
   // 4 bytes, and kMagic, which never builds it, ignores its geometry.

@@ -300,32 +300,54 @@ TEST(CoreTelemetry, MetricsSnapshotCoversAllCores) {
   }
 }
 
+// The pipeline trace is the only per-instruction record: on every core and
+// evaluation path it must hold one retired span per committed instruction,
+// loads and stores included (they issue when they enter memory), each with
+// fetch <= issue <= complete <= commit.
 TEST(CoreTelemetry, TraceAndTimelineAgreeOnCommits) {
-  const auto program = workloads::Fibonacci(8);
-  PipelineTracer tracer({.capacity = std::size_t{1} << 16});
-  telemetry::RunTelemetry telem;
-  telem.tracer = &tracer;
-  telem.metrics_enabled = false;
-  core::CoreConfig cfg;
-  cfg.window_size = 16;
-  cfg.mem.mode = memory::MemTimingMode::kMagic;
-  cfg.telemetry = &telem;
-  const auto result =
-      core::MakeProcessor(core::ProcessorKind::kUltrascalarI, cfg)
-          ->Run(program);
-  ASSERT_TRUE(result.halted);
+  const auto indirect = workloads::DecodeTraceText(workloads::EncodeTraceText(
+      workloads::RecordTrace("indirect", workloads::IndirectSum(16))));
+  const isa::Program programs[] = {workloads::BubbleSort(8),
+                                   workloads::TraceToProgram(indirect)};
+  for (const auto& program : programs) {
+    for (const auto kind :
+         {core::ProcessorKind::kIdeal, core::ProcessorKind::kUltrascalarI,
+          core::ProcessorKind::kUltrascalarII, core::ProcessorKind::kHybrid}) {
+      for (const auto eval :
+           {core::DatapathEval::kIncremental, core::DatapathEval::kFullRecompute,
+            core::DatapathEval::kChecked, core::DatapathEval::kPacked}) {
+        SCOPED_TRACE(std::string(core::ProcessorKindName(kind)) + " eval " +
+                     std::to_string(static_cast<int>(eval)));
+        PipelineTracer tracer({.capacity = std::size_t{1} << 16});
+        telemetry::RunTelemetry telem;
+        telem.tracer = &tracer;
+        telem.metrics_enabled = false;
+        core::CoreConfig cfg;
+        cfg.window_size = 16;
+        cfg.cluster_size = 4;
+        cfg.mem.mode = memory::MemTimingMode::kMagic;
+        cfg.datapath_eval = eval;
+        cfg.telemetry = &telem;
+        const auto result = core::MakeProcessor(kind, cfg)->Run(program);
+        ASSERT_TRUE(result.halted);
+        ASSERT_EQ(tracer.dropped(), 0u);
 
-  std::vector<telemetry::InstrSpan> retired;
-  for (const auto& sp : telemetry::CollectInstrSpans(tracer.Events())) {
-    if (sp.retired) retired.push_back(sp);
-  }
-  ASSERT_EQ(retired.size(), result.timeline.size());
-  for (std::size_t i = 0; i < retired.size(); ++i) {
-    EXPECT_EQ(retired[i].seq, result.timeline[i].seq);
-    EXPECT_EQ(retired[i].station, result.timeline[i].station);
-    EXPECT_EQ(retired[i].fetch_cycle, result.timeline[i].fetch_cycle);
-    EXPECT_EQ(retired[i].issue_cycle, result.timeline[i].issue_cycle);
-    EXPECT_EQ(retired[i].end_cycle, result.timeline[i].commit_cycle);
+        std::uint64_t retired = 0;
+        for (const auto& sp : telemetry::CollectInstrSpans(tracer.Events())) {
+          if (!sp.retired) continue;
+          ++retired;
+          SCOPED_TRACE("seq " + std::to_string(sp.seq) + " at pc " +
+                       std::to_string(sp.pc));
+          EXPECT_EQ(sp.op, static_cast<std::uint8_t>(program.at(sp.pc).op));
+          EXPECT_TRUE(sp.issued);
+          EXPECT_TRUE(sp.completed);
+          EXPECT_LE(sp.fetch_cycle, sp.issue_cycle);
+          EXPECT_LE(sp.issue_cycle, sp.complete_cycle);
+          EXPECT_LE(sp.complete_cycle, sp.end_cycle);
+        }
+        EXPECT_EQ(retired, result.committed);
+      }
+    }
   }
 }
 
