@@ -226,7 +226,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
           fault_stall[static_cast<std::size_t>(i)] +=
               static_cast<int>(e.payload % 8) + 1;
           if (p < tail) stall_b.Set(p);
-          injector.NoteStall();
         } else if (fault::TargetsDatapath(e.kind) && p < tail) {
           args_written(p, i, true);
         }
@@ -691,17 +690,11 @@ RunResult HybridCore::Run(const isa::Program& program) {
     if (injector.active()) {
       for (const fault::FaultEvent& e : injector.pending()) {
         if (e.kind != fault::FaultKind::kForceMispredict) continue;
-        if (tail <= commit_ptr) {
-          injector.NoteMasked();
-          continue;
-        }
+        if (tail <= commit_ptr) continue;
         const int p = commit_ptr + e.station % (tail - commit_ptr);
         Station& st =
             stations[static_cast<std::size_t>(station_index(p))];
-        if (!st.valid || st.inst().op == isa::Opcode::kHalt) {
-          injector.NoteMasked();
-          continue;
-        }
+        if (!st.valid || st.inst().op == isa::Opcode::kHalt) continue;
         std::size_t redirect_pc;
         if (isa::IsControlFlow(st.inst().op)) {
           redirect_pc = st.resolved ? st.actual_next_pc
@@ -709,7 +702,6 @@ RunResult HybridCore::Run(const isa::Program& program) {
         } else {
           redirect_pc = st.fetched.pc + 1;
         }
-        injector.NoteForcedMispredict();
         for (int m = p + 1; m < tail; ++m) {
           const int vi = station_index(m);
           Station& victim = stations[static_cast<std::size_t>(vi)];

@@ -299,7 +299,6 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
           fault_stall[static_cast<std::size_t>(i)] +=
               static_cast<int>(e.payload % 8) + 1;
           stall_b.Set(i);
-          injector.NoteStall();
         } else if (fault::TargetsDatapath(e.kind) &&
                    stations[static_cast<std::size_t>(i)].valid) {
           args_written(i, true);
@@ -749,17 +748,11 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     if (injector.active()) {
       for (const fault::FaultEvent& e : injector.pending()) {
         if (e.kind != fault::FaultKind::kForceMispredict) continue;
-        if (count == 0) {
-          injector.NoteMasked();
-          continue;
-        }
+        if (count == 0) continue;
         const int k = e.station % count;
         const int i = (head + k) % n;
         Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid || st.inst().op == isa::Opcode::kHalt) {
-          injector.NoteMasked();
-          continue;
-        }
+        if (!st.valid || st.inst().op == isa::Opcode::kHalt) continue;
         // A resolved control transfer replays its known successor; an
         // unresolved one replays the predicted path (if the prediction is
         // wrong the ordinary recovery fires when it resolves); anything
@@ -771,7 +764,6 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         } else {
           redirect_pc = st.fetched.pc + 1;
         }
-        injector.NoteForcedMispredict();
         for (int m = k + 1; m < count; ++m) {
           const int vi = (head + m) % n;
           Station& victim = stations[static_cast<std::size_t>(vi)];

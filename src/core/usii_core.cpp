@@ -188,7 +188,6 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           fault_stall[static_cast<std::size_t>(i)] +=
               static_cast<int>(e.payload % 8) + 1;
           stall_b.Set(i);
-          injector.NoteStall();
         } else if (fault::TargetsDatapath(e.kind) &&
                    stations[static_cast<std::size_t>(i)].valid) {
           args_written(i, true);
@@ -694,16 +693,10 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
       if (injector.active()) {
         for (const fault::FaultEvent& e : injector.pending()) {
           if (e.kind != fault::FaultKind::kForceMispredict) continue;
-          if (fill == 0) {
-            injector.NoteMasked();
-            continue;
-          }
+          if (fill == 0) continue;
           const int i = e.station % fill;
           Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid || st.inst().op == isa::Opcode::kHalt) {
-            injector.NoteMasked();
-            continue;
-          }
+          if (!st.valid || st.inst().op == isa::Opcode::kHalt) continue;
           std::size_t redirect_pc;
           if (isa::IsControlFlow(st.inst().op)) {
             redirect_pc = st.resolved ? st.actual_next_pc
@@ -711,7 +704,6 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           } else {
             redirect_pc = st.fetched.pc + 1;
           }
-          injector.NoteForcedMispredict();
           for (int m = i + 1; m < fill; ++m) {
             Station& victim = stations[static_cast<std::size_t>(m)];
             if (victim.valid) {

@@ -23,19 +23,12 @@ void FaultInjector::ApplyToBinding(const FaultEvent& e,
   switch (e.kind) {
     case FaultKind::kCorruptValue:
       cell.value ^= static_cast<isa::Word>(e.payload | 1);  // Never a no-op.
-      ++stats_.value_corruptions;
       break;
     case FaultKind::kFlipReady:
       cell.ready = !cell.ready;
-      ++stats_.ready_flips;
       break;
     case FaultKind::kDropDelivery:
-      if (!cell.ready) {
-        ++stats_.masked;
-      } else {
-        cell.ready = false;
-        ++stats_.dropped_deliveries;
-      }
+      cell.ready = false;  // Already not ready: the event is masked.
       break;
     default:
       break;  // Control kinds are applied by the core.

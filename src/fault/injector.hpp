@@ -4,8 +4,7 @@
 // helper that writes the datapath-targeting kinds into the stations'
 // resolved arguments. The control kinds (kStallStation, kForceMispredict)
 // are applied by the cores themselves -- they need the window geometry and
-// the fetch engine -- and reported back here so one FaultStats covers the
-// whole run.
+// the fetch engine.
 //
 // The datapath kinds mutate the *delivered* side of a datapath (the
 // arguments a station reads), never the inputs, so a fault models a
@@ -27,15 +26,6 @@ namespace ultra::fault {
 
 struct FaultStats {
   std::uint64_t injected = 0;  // Events staged into an executed cycle.
-  std::uint64_t value_corruptions = 0;
-  std::uint64_t ready_flips = 0;
-  std::uint64_t dropped_deliveries = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t forced_mispredicts = 0;
-  /// Events that landed on a site already in the faulted state (e.g. a
-  /// dropped delivery on a not-ready cell) or on a site the core cannot
-  /// perturb (e.g. a forced mispredict on an empty window / halt slot).
-  std::uint64_t masked = 0;
 };
 
 class FaultInjector {
@@ -66,11 +56,6 @@ class FaultInjector {
   /// (arg1 when even). Call once the cycle's arguments are final.
   void ApplyDatapathFaults(std::span<datapath::ResolvedArgs> args);
 
-  /// Bookkeeping for the core-applied control kinds.
-  void NoteStall() { ++stats_.stalls; }
-  void NoteForcedMispredict() { ++stats_.forced_mispredicts; }
-  void NoteMasked() { ++stats_.masked; }
-
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
 
   /// Checkpoint support: the cursor over the plan plus the accumulated
@@ -79,12 +64,6 @@ class FaultInjector {
     e.U64(begin_);
     e.U64(end_);
     e.U64(stats_.injected);
-    e.U64(stats_.value_corruptions);
-    e.U64(stats_.ready_flips);
-    e.U64(stats_.dropped_deliveries);
-    e.U64(stats_.stalls);
-    e.U64(stats_.forced_mispredicts);
-    e.U64(stats_.masked);
   }
   void RestoreState(persist::Decoder& d) {
     begin_ = static_cast<std::size_t>(d.U64());
@@ -93,12 +72,6 @@ class FaultInjector {
       throw persist::FormatError("fault cursor out of range");
     }
     stats_.injected = d.U64();
-    stats_.value_corruptions = d.U64();
-    stats_.ready_flips = d.U64();
-    stats_.dropped_deliveries = d.U64();
-    stats_.stalls = d.U64();
-    stats_.forced_mispredicts = d.U64();
-    stats_.masked = d.U64();
   }
 
  private:

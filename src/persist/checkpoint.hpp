@@ -45,7 +45,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x504B4355;  // "UCKP" LE.
 // Version 6: the per-instruction timeline left the partial result and each
 // station keeps only its issue and complete cycles, so a checkpoint's size
 // depends on the window and the touched memory, not on the run's length.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// Version 7: the fault injector saves only its cursor and the injected
+// count; the six per-kind counters that nothing read are gone.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 struct CheckpointHeader {
   /// core::ProcessorKind of the core that wrote the blob (stored as the raw

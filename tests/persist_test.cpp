@@ -165,8 +165,8 @@ TEST(CheckpointFile, GoldenHeaderBytesLockTheFormatVersion) {
   ckpt.state = {0xDE, 0xAD};
   const std::vector<std::uint8_t> bytes = persist::EncodeCheckpoint(ckpt);
   ASSERT_GE(bytes.size(), 8u);
-  // Version 6: checkpoints no longer carry the per-instruction timeline.
-  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 6, 0, 0, 0};
+  // Version 7: the fault injector no longer saves its per-kind counters.
+  const std::uint8_t golden[8] = {'U', 'C', 'K', 'P', 7, 0, 0, 0};
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(bytes[static_cast<std::size_t>(i)], golden[i]) << "byte " << i;
   }
