@@ -146,11 +146,13 @@ class MemorySystem {
 
  private:
   struct Request {
-    std::uint64_t id;
-    int leaf;
-    bool is_store;
-    isa::Word addr;
-    isa::Word loaded_value;  // Captured at architectural access time.
+    std::uint64_t id = 0;
+    int leaf = 0;
+    bool is_store = false;
+    isa::Word addr = 0;
+    // Captured at architectural access time; a store's stays 0, so its
+    // checkpoint bytes are deterministic.
+    isa::Word loaded_value = 0;
   };
 
   /// One level of the chain: the role's instances (one per cluster for
