@@ -3,10 +3,12 @@
 // ordering), where a slip changes all paths alike and no differential test
 // notices. A fixed corpus -- four kinds x n in {4, 16, 64, 256} x sort,
 // memcpy, dot, the Figure 3 program and a recorded trace, each under a base
-// config and one setting per axis -- is run, and every run yields two FNV-1a
-// digests: one over its export row, stats and architectural state, and one
+// config and one setting per axis -- is run, and every run yields three
+// FNV-1a digests: one over its export row, stats and architectural state, one
 // over its schedule (every committed instruction's station and fetch, issue,
-// complete and commit cycles). The digests live in golden/corpus.txt.
+// complete and commit cycles), and one over the state bytes of a checkpoint
+// captured halfway through the run, which pins the saved layout that a
+// same-build round trip cannot see. The digests live in golden/corpus.txt.
 //
 // A change that alters a digest on purpose regenerates the file with
 //   golden_test --regenerate
@@ -210,19 +212,32 @@ std::uint64_t ScheduleDigest(
   return persist::Fnv1a64(e.bytes());
 }
 
-/// "<name> <result digest> <schedule digest>": the result from the
-/// untraced run, the schedule from a traced rerun.
+/// The state bytes of a checkpoint captured at the top of cycle
+/// `cycles / 2`; a run too short to reach cycle 1 digests no bytes.
+std::uint64_t CheckpointDigest(const CorpusRun& run, std::uint64_t cycles) {
+  const std::uint64_t at = cycles / 2;
+  if (at == 0) return persist::Fnv1a64({});
+  const persist::Checkpoint checkpoint =
+      core::MakeProcessor(run.kind, run.config)
+          ->SaveCheckpoint(*run.program, at);
+  return persist::Fnv1a64(checkpoint.state);
+}
+
+/// "<name> <result digest> <schedule digest> <checkpoint digest>": the
+/// result from the untraced run, the schedule from a traced rerun, the
+/// checkpoint from a third run stopped halfway.
 std::string DigestLine(const CorpusRun& run) {
   const test::TracedRun traced =
       test::RunTraced(run.kind, run.config, *run.program);
   return run.name + " " + Hex(ResultDigest(run, traced)) + " " +
-         Hex(ScheduleDigest(traced.timeline));
+         Hex(ScheduleDigest(traced.timeline)) + " " +
+         Hex(CheckpointDigest(run, traced.cycles));
 }
 
 const char kHeader[] =
     "# Golden digest corpus (tests/golden_test.cpp): <run> <export row, stats\n"
-    "# and state digest> <schedule digest>. Regenerate with\n"
-    "# `golden_test --regenerate` and say why in CHANGES.md.\n";
+    "# and state digest> <schedule digest> <mid-run checkpoint digest>.\n"
+    "# Regenerate with `golden_test --regenerate` and say why in CHANGES.md.\n";
 
 std::map<std::string, std::string> LoadCorpusFile() {
   std::ifstream in(ULTRA_GOLDEN_CORPUS);
