@@ -112,6 +112,11 @@ struct ProgramCase {
   const char* source;
 };
 
+// Without a printer gtest shows the raw bytes of the two pointers, which
+// move with address randomisation and with every string literal the linked
+// code gains or loses, so the discovered ctest names would not be stable.
+void PrintTo(const ProgramCase& pc, std::ostream* os) { *os << pc.name; }
+
 class AllProcessors
     : public testing::TestWithParam<std::tuple<ProcessorKind, ProgramCase>> {
 };
