@@ -43,6 +43,9 @@ void ButterflyNetwork::TickDirection(std::vector<std::vector<Node>>& net,
     for (int p = 0; p < leaves_; ++p) {
       auto& q = net[static_cast<std::size_t>(s)][static_cast<std::size_t>(p)]
                     .queue;
+      // An idle node has nothing to route; skipping it also keeps the
+      // empty `stay` deque (two allocations) off the per-cycle path.
+      if (q.empty()) continue;
       bool straight_used = false;
       bool cross_used = false;
       std::deque<Msg> stay;

@@ -262,6 +262,31 @@ TEST_P(SteadyStateAllocations, PackedFaultPlanStaysAllocationFree) {
   EXPECT_LT(delta * 8, long_run.cycles - short_run.cycles);
 }
 
+// The butterfly memory network is ticked every cycle, in flight or idle.
+// With no load or store in the program no message ever enters it, so its
+// idle nodes must not allocate.
+TEST_P(SteadyStateAllocations, ButterflyMemoryStaysAllocationFree) {
+  const ProcessorKind kind = GetParam();
+  CoreConfig cfg;
+  cfg.window_size = 32;
+  cfg.cluster_size = 8;
+  cfg.mem.mode = memory::MemTimingMode::kButterfly;
+  const auto short_prog = workloads::DependencyChains(
+      {.num_instructions = 512, .ilp = 4, .seed = 11});
+  const auto long_prog = workloads::DependencyChains(
+      {.num_instructions = 4096, .ilp = 4, .seed = 11});
+
+  const RunCost short_run = MeasuredRun(kind, cfg, short_prog);
+  const RunCost long_run = MeasuredRun(kind, cfg, long_prog);
+  ASSERT_GT(long_run.cycles, short_run.cycles + 500u);
+  const std::uint64_t delta = long_run.allocations - short_run.allocations;
+  EXPECT_LT(delta, 64u) << "long run: " << long_run.allocations
+                        << " allocations over " << long_run.cycles
+                        << " cycles; short run: " << short_run.allocations
+                        << " over " << short_run.cycles;
+  EXPECT_LT(delta * 8, long_run.cycles - short_run.cycles);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCores, SteadyStateAllocations,
     testing::Values(ProcessorKind::kIdeal, ProcessorKind::kUltrascalarI,
