@@ -157,17 +157,8 @@ void ApplyMemResponse(Station& st, const memory::MemResponse& resp,
 LoadForwardDecision ResolveLoadForwarding(
     std::span<const MemWindowEntry> window, std::size_t pos) {
   assert(pos < window.size());
-  assert(window[pos].is_load && window[pos].addr_known);
-  const isa::Word addr = window[pos].addr;
-  for (std::size_t j = pos; j-- > 0;) {
-    const MemWindowEntry& e = window[j];
-    if (!e.is_store) continue;
-    if (!e.addr_known) return {};  // Ambiguous: wait.
-    if (e.addr != addr) continue;
-    if (!e.data_ready) return {};  // Right store, data not yet known.
-    return {true, true, e.data};
-  }
-  return {true, false, 0};  // Disambiguated against every preceding store.
+  return ResolveLoadForwardingMapped(
+      [&](std::size_t k) -> const MemWindowEntry& { return window[k]; }, pos);
 }
 
 MemWindowEntry MakeMemWindowEntry(const Station& st,

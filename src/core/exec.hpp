@@ -98,12 +98,11 @@ LoadForwardDecision ResolveLoadForwarding(
 MemWindowEntry MakeMemWindowEntry(const Station& st,
                                   const datapath::ResolvedArgs& args);
 
-/// Mapped twin of ResolveLoadForwarding for cores whose window entries are
-/// not contiguous in age order (the packed fast paths keep them indexed by
-/// ring position or station slot): @p entry_at(k) returns the entry for age
-/// index k. The walk and the decision rules are identical to the span
-/// variant, which remains the reference the differential tests compare
-/// against.
+/// ResolveLoadForwarding over a window whose entries need not be contiguous
+/// in age order (the packed loops keep them indexed by ring position or
+/// station slot): @p entry_at(k) returns the entry for age index k. The
+/// cycle engine decides every load through this form; the span form above
+/// is this walk over a contiguous window.
 template <typename EntryAt>
 LoadForwardDecision ResolveLoadForwardingMapped(EntryAt&& entry_at,
                                                 std::size_t pos) {

@@ -10,10 +10,12 @@
 // timing cycle for cycle -- that equivalence is the paper's functional
 // claim, and our tests assert it.
 //
-// Deliberately implemented with a completely different mechanism (rename
-// map + producer sequence numbers instead of register-file propagation) so
-// that agreement with the Ultrascalar cores is evidence of correctness, not
-// of shared code.
+// Its operand network is deliberately a completely different mechanism
+// (rename map + producer sequence numbers instead of register-file
+// propagation), so agreement with the Ultrascalar cores is evidence that
+// the networks are equivalent. The phases every core shares (fetch, station
+// step, squash, memory drain) run in the CycleEngine, which the golden
+// corpus pins on its own.
 #pragma once
 
 #include "core/processor.hpp"

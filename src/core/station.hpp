@@ -57,6 +57,13 @@ struct Station {
     *this = Station{};
     generation = gen;
   }
+
+  /// Frees the slot and bumps its generation, so memory responses still in
+  /// flight for the old occupant are dropped.
+  void Evict() {
+    Clear();
+    ++generation;
+  }
 };
 
 /// Resets a station for a newly fetched instruction.
