@@ -213,9 +213,9 @@ class PackedLanes {
 
  private:
   std::array<datapath::PackedBits*, 11> Flags() {
-    return {&valid,   &finished, &issued,    &resolved,
-            &mem_submitted, &load, &store, &control,
-            &alu_like, &needs_alu, &args_ready};
+    return {&valid,    &finished, &issued,   &resolved,  &mem_submitted,
+            &load,     &store,    &control,  &alu_like,  &needs_alu,
+            &args_ready};
   }
 
   /// Lanes of word @p w below @p limit.
