@@ -324,39 +324,42 @@ class CycleEngine {
   }
   [[nodiscard]] bool resumed() const { return ckpt_.resume() != nullptr; }
 
-  /// The cycle loop. Each cycle's prologue captures a due checkpoint (the
-  /// core's @p head fields, the common tail, its @p trailer fields), polls
-  /// the cancel flag every 1,024 cycles and records the window
-  /// @p occupancy(); then @p body(cycle) runs the core's phases.
-  template <typename Occupancy, typename Head, typename Trailer, typename Body>
-  void Run(Occupancy&& occupancy, Head&& head, Trailer&& trailer,
-           Body&& body) {
-    for (std::uint64_t cycle = start_cycle_;
-         cycle < config.max_cycles && !done; ++cycle) {
-      const bool stop = ckpt_.MaybeSave(cycle, [&](persist::Encoder& e) {
-        head(e);
-        e.U64(next_seq);
-        SaveInflight(e, inflight);
-        SavePartialResult(e, result);
-        if (faults_) {
-          for (const int s : fault_stall) e.I32(s);
-          injector.SaveState(e);
-          checker.SaveState(e);
-        }
-        fetch.SaveState(e);
-        mem.SaveState(e);
-        SaveTelemetrySlots(e, config);
-        trailer(e);
-      });
-      if (stop) break;
-      if (config.cancel && (cycle & 1023u) == 0 &&
-          config.cancel->load(std::memory_order_relaxed)) {
-        break;  // Abandoned run: halted stays false.
+  /// The first cycle to run: 0, or the resumed checkpoint's cycle.
+  [[nodiscard]] std::uint64_t start_cycle() const { return start_cycle_; }
+
+  /// The cycle prologue, as the cycle loop's condition. False once the run
+  /// halted or reached max_cycles, right after a capture with
+  /// stop_after_save, or when the cancel flag (polled every 1,024 cycles)
+  /// is set; otherwise captures a due checkpoint (the core's @p head
+  /// fields, the common tail, its @p trailer fields), counts the cycle and
+  /// records the window @p occupancy.
+  template <typename Head, typename Trailer>
+  bool BeginCycle(std::uint64_t cycle, int occupancy, Head&& head,
+                  Trailer&& trailer) {
+    if (done || cycle >= config.max_cycles) return false;
+    const bool stop = ckpt_.MaybeSave(cycle, [&](persist::Encoder& e) {
+      head(e);
+      e.U64(next_seq);
+      SaveInflight(e, inflight);
+      SavePartialResult(e, result);
+      if (faults_) {
+        for (const int s : fault_stall) e.I32(s);
+        injector.SaveState(e);
+        checker.SaveState(e);
       }
-      result.cycles = cycle + 1;
-      tel.OnCycle(cycle, occupancy());
-      body(cycle);
+      fetch.SaveState(e);
+      mem.SaveState(e);
+      SaveTelemetrySlots(e, config);
+      trailer(e);
+    });
+    if (stop) return false;
+    if (config.cancel && (cycle & 1023u) == 0 &&
+        config.cancel->load(std::memory_order_relaxed)) {
+      return false;  // Abandoned run: halted stays false.
     }
+    result.cycles = cycle + 1;
+    tel.OnCycle(cycle, occupancy);
+    return true;
   }
 
   /// The station of an in-flight memory tag that names its station slot,

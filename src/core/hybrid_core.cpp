@@ -240,8 +240,9 @@ RunResult HybridCore::Run(const isa::Program& program) {
     }
   }
 
-  eng.Run([&] { return tail - commit_ptr; }, save_head, save_trailer,
-          [&](std::uint64_t cycle) {
+  for (std::uint64_t cycle = eng.start_cycle();
+       eng.BeginCycle(cycle, tail - commit_ptr, save_head, save_trailer);
+       ++cycle) {
     // --- Phase 1: combinational propagation (end-of-last-cycle state). ---
     if (packed) {
       // Event-driven delivery: re-resolve only the positions whose
@@ -506,7 +507,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
               [&](int p, int slot, const Station& st) {
                 if (packed) packed_fill_slot(p, slot, st);
               });
-  });
+  }
 
   return eng.Finish(CycleEngine::Values(committed));
 }

@@ -201,8 +201,8 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
   eng.Restore([&](persist::Decoder& d) { win.Restore(d, stations); },
               no_trailer);
 
-  eng.Run([&] { return win.count; }, save_head, no_trailer, [&](std::uint64_t
-                                                                    cycle) {
+  for (std::uint64_t cycle = eng.start_cycle();
+       eng.BeginCycle(cycle, win.count, save_head, no_trailer); ++cycle) {
     // --- Phase 1: snapshot end-of-last-cycle readiness (results become
     // visible to consumers one cycle after they are produced, matching the
     // Ultrascalar datapath propagation). ---
@@ -336,7 +336,7 @@ RunResult IdealCore::RunReference(const isa::Program& program) {
                 win.Rename(slot, st);
                 win.TraceRenames(eng.tel, cycle, slot, st);
               });
-  });
+  }
 
   return eng.Finish(win.regs);
 }
@@ -488,8 +488,8 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
     }
   }
 
-  eng.Run([&] { return win.count; }, save_head, no_trailer, [&](std::uint64_t
-                                                                    cycle) {
+  for (std::uint64_t cycle = eng.start_cycle();
+       eng.BeginCycle(cycle, win.count, save_head, no_trailer); ++cycle) {
     // --- Phase 1: the Figure 5 ordering prefixes from end-of-last-cycle
     // state. Dead slots contribute vacuously true conditions, so the
     // cyclic prefix from the head equals the reference loop's acyclic
@@ -612,7 +612,7 @@ RunResult RunPackedIdeal(const CoreConfig& config_,
       }
     }
     finish_events.clear();
-  });
+  }
 
   return eng.Finish(win.regs);
 }

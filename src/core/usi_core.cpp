@@ -318,8 +318,8 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     }
   }
 
-  eng.Run([&] { return count; }, save_head, save_trailer, [&](std::uint64_t
-                                                                  cycle) {
+  for (std::uint64_t cycle = eng.start_cycle();
+       eng.BeginCycle(cycle, count, save_head, save_trailer); ++cycle) {
     // --- Phase 1: combinational propagation (end-of-last-cycle state). ---
     if (packed) {
       // Event-driven delivery: re-resolve only stations whose argument
@@ -547,7 +547,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     eng.Fetch(cycle, 0, count, ring, [&](int, int slot, const Station& st) {
       if (packed) packed_fill_slot(slot, st);
     });
-  });
+  }
 
   return eng.Finish(CycleEngine::Values(committed));
 }

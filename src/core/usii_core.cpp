@@ -221,8 +221,8 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         }
       });
 
-  eng.Run([&] { return fill; }, save_head, save_trailer, [&](std::uint64_t
-                                                                 cycle) {
+  for (std::uint64_t cycle = eng.start_cycle();
+       eng.BeginCycle(cycle, fill, save_head, save_trailer); ++cycle) {
     // --- Phase 1: combinational propagation and batch-completion check,
     // both against end-of-last-cycle state. ---
     bool all_finished = true;
@@ -451,7 +451,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     eng.Fetch(cycle, 0, fill, batch, [&](int, int slot, const Station& st) {
       if (packed) packed_fill_slot(slot, st);
     });
-  });
+  }
   return eng.Finish(CycleEngine::Values(regfile));
 }
 
