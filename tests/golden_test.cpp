@@ -3,12 +3,14 @@
 // ordering), where a slip changes all paths alike and no differential test
 // notices. A fixed corpus -- four kinds x n in {4, 16, 64, 256} x sort,
 // memcpy, dot, the Figure 3 program and a recorded trace, each under a base
-// config and one setting per axis -- is run, and every run yields three
-// FNV-1a digests: one over its export row, stats and architectural state, one
-// over its schedule (every committed instruction's station and fetch, issue,
-// complete and commit cycles), and one over the state bytes of a checkpoint
-// captured halfway through the run, which pins the saved layout that a
-// same-build round trip cannot see. The digests live in golden/corpus.txt.
+// config, one setting per axis and the packed evaluation of the three
+// scalable cores (also with pipelined delivery on Ultrascalar I) -- is run,
+// and every run yields three FNV-1a digests: one over its export row, stats
+// and architectural state, one over its schedule (every committed
+// instruction's station and fetch, issue, complete and commit cycles), and
+// one over the state bytes of a checkpoint captured halfway through the run,
+// which pins the saved layout that a same-build round trip cannot see. The
+// digests live in golden/corpus.txt.
 //
 // A change that alters a digest on purpose regenerates the file with
 //   golden_test --regenerate
@@ -123,6 +125,15 @@ const std::vector<Setting>& Settings() {
              fault::FaultPlan::Random(12, 0.05, 4000));
        },
        [](ProcessorKind k) { return k != ProcessorKind::kIdeal; }},
+      {"eval=packed",
+       [](CoreConfig& c) { c.datapath_eval = core::DatapathEval::kPacked; },
+       [](ProcessorKind k) { return k != ProcessorKind::kIdeal; }},
+      {"pipelined+packed",
+       [](CoreConfig& c) {
+         c.pipeline_levels_per_stage = 1;
+         c.datapath_eval = core::DatapathEval::kPacked;
+       },
+       [](ProcessorKind k) { return k == ProcessorKind::kUltrascalarI; }},
   };
   return settings;
 }
