@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "core/station.hpp"
 #include "core/config_codec.hpp"
 #include "core/exec.hpp"
-#include "datapath/bitset.hpp"
 #include "isa/program_codec.hpp"
 #include "persist/checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
@@ -153,27 +151,6 @@ inline void RestorePartialResult(persist::Decoder& d, RunResult& r) {
   r.stats.fault.divergences = d.U64();
   r.stats.fault.resyncs = d.U64();
   r.stats.fault.squashes = d.U64();
-}
-
-/// The packed path's cached station arguments plus the stale set of
-/// stations due to re-resolve at the next cycle. Both are machine state: a
-/// live fault corruption sits in a cached argument until its station is
-/// next re-resolved, so a restore that recomputed them would heal it.
-inline void SavePackedArgs(persist::Encoder& e,
-                           std::span<const datapath::ResolvedArgs> args,
-                           const datapath::PackedBits& stale) {
-  for (const datapath::ResolvedArgs& a : args) datapath::Save(e, a);
-  for (int w = 0; w < stale.num_words(); ++w) e.U64(stale.word(w));
-}
-
-inline void RestorePackedArgs(persist::Decoder& d,
-                              std::span<datapath::ResolvedArgs> args,
-                              datapath::PackedBits& stale) {
-  for (datapath::ResolvedArgs& a : args) datapath::Restore(d, a);
-  for (int w = 0; w < stale.num_words(); ++w) stale.word(w) = d.U64();
-  if (stale.num_words() > 0) {
-    stale.word(stale.num_words() - 1) &= datapath::PackedTailMask(stale.size());
-  }
 }
 
 /// Telemetry counter slots (when a bound sink is attached), so metrics

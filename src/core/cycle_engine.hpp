@@ -8,7 +8,10 @@
 // metric, and the head of its checkpoint -- and calls the engine for the
 // rest: the cycle prologue, the memory-response drain, one station step,
 // the squash of a younger suffix, forced mispredicts, the fetch phase, the
-// checkpoint's common tail and finalization.
+// checkpoint's common tail and finalization. The packed loops of the three
+// scalable processors share one operand network on top of the engine,
+// WriterMapNetwork (writer_map_network.hpp), which runs their fault
+// injection, checker and execute walk through the phases here.
 //
 // Both the packed loops and the byte-lane reference loops call the same
 // phase functions, so the golden corpus (tests/golden) guards this file for
@@ -484,14 +487,6 @@ class CycleEngine {
       checker.RecordDivergence(cycle, mismatched);
       tel.OnCheckerResync(cycle, mismatched);
     }
-  }
-
-  /// Overwrites @p seen with @p truth; returns how many operands differed.
-  static int Resync(datapath::ResolvedArgs& seen,
-                    const datapath::ResolvedArgs& truth) {
-    const int differ = (seen.arg1 != truth.arg1) + (seen.arg2 != truth.arg2);
-    seen = truth;
-    return differ;
   }
 
   /// An injected stall on lane @p lane (station @p i) sits this cycle out

@@ -4,9 +4,8 @@
 
 #include <optional>
 
-#include "core/cycle_engine.hpp"
+#include "core/writer_map_network.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/packed_resolve.hpp"
 
 namespace ultra::core {
 
@@ -41,11 +40,10 @@ RunResult HybridCore::Run(const isa::Program& program) {
 
   // Evaluation modes. kPacked and kChecked share one word-parallel cycle
   // loop: sequencing flags, acyclic prefixes, ALU grants and the execute
-  // phase's visit set evaluate 64 program positions per word op (the packed
-  // lanes are position-indexed, not station-indexed), and argument delivery
-  // is event-driven -- each station's resolved arguments are cached and
-  // re-resolved, over per-register writer/reader rows, only when their
-  // source changes. kChecked adds the DatapathChecker. kIncremental and
+  // phase's visit set evaluate 64 program positions per word op, and
+  // argument delivery is event-driven through the writer-map network, whose
+  // lanes are program positions (oldest lane 0) mapped to stations by
+  // station_index. kChecked adds the DatapathChecker. kIncremental and
   // kFullRecompute run the byte-lane loop over the cluster propagation.
   const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
                       config_.datapath_eval == DatapathEval::kChecked;
@@ -73,24 +71,16 @@ RunResult HybridCore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> alu_requests;
   std::vector<std::uint8_t> alu_grant;  // Indexed by program position.
 
-  // Packed state (kPacked/kChecked only). The lanes (the stall lanes and
-  // the stale set included) and the writer/reader rows live in position
-  // space: they shift down by C when a cluster deallocates. The cached
-  // arguments, the memory-window entries and the mw_stale lanes live in
-  // station space, which survives renumbering untouched -- a station's
-  // cached binding is a value copy, and a deallocated writer's readers
-  // re-resolve to the committed file, which that writer's commit made
-  // byte-identical to its result. Everything but the cached arguments and
-  // the stale set is derived from the stations and rebuilt on restore.
-  PackedLanes lanes(packed ? n : 0);
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_sta;
-  if (packed) {
-    wmap.Assign(n, L);
-    args_at.resize(nz);
-    mem_window_sta.resize(nz);
-  }
+  // The packed loop's operand network (kPacked/kChecked only). Its lanes
+  // (the stall lanes and the stale set included) and writer/reader rows
+  // live in position space: they shift down by C when a cluster
+  // deallocates. The cached arguments, the memory-window entries and the
+  // mw_stale lanes live in station space, which survives renumbering
+  // untouched -- a station's cached binding is a value copy, and a
+  // deallocated writer's readers re-resolve to the committed file, which
+  // that writer's commit made byte-identical to its result.
+  WriterMapNetwork net(eng, packed ? n : 0, L, station_index);
+  PackedLanes& lanes = net.lanes;
 
   // Byte-lane loop: station @p i's arguments from the propagation.
   const auto args_of = [&](int i) -> const datapath::ResolvedArgs& {
@@ -115,88 +105,26 @@ RunResult HybridCore::Run(const isa::Program& program) {
     }
   };
 
-  // Packed event helpers, keyed by (position, station). Clearing must run
-  // while the station still holds its instruction. An injected stall
-  // sticks to its station, so a fill re-derives the position's stall lane.
-  const auto packed_clear_slot = [&](int p, int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    if (isa::WritesRd(inst.op)) wmap.ClearWriter(p, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.ClearReader(p, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.ClearReader(p, inst.rs2);
-    lanes.Clear(p);
-    lanes.stall.Clear(p);
-    lanes.stale.Clear(p);
-    lanes.mw_stale.Clear(i);
-    args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-    if (fwd) mem_window_sta[static_cast<std::size_t>(i)] = MemWindowEntry{};
-  };
-  const auto packed_fill_slot = [&](int p, int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    lanes.Fill(p, st);
-    if (isa::WritesRd(inst.op)) wmap.SetWriter(p, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.AddReader(p, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.AddReader(p, inst.rs2);
-    lanes.stall.SetTo(p, eng.fault_stall[static_cast<std::size_t>(i)] > 0);
-    lanes.stale.Set(p);
-    if (fwd) lanes.mw_stale.Set(i);
-  };
   // A squash victim or a forced-mispredict victim leaves the window.
   const auto drop = [&](int p, int i, Station& victim) {
-    if (packed) packed_clear_slot(p, i, victim);
+    if (packed) net.Clear(p, i, victim);
     victim.Evict();
   };
-  // Position @p p's result binding for register @p r changed: only the
-  // readers between p and the next writer of r (inclusive -- a position
-  // both reading and writing r resolves its read against the previous
-  // writer) see a different source. Acyclic position order.
-  const auto mark_result_change = [&](int p, isa::RegId r) {
-    const int nw = datapath::LowestSetInRange(
-        wmap.writers(static_cast<int>(r)), p + 1, n);
-    wmap.OrReadersInCyclicRange(static_cast<int>(r), p + 1,
-                                nw >= 0 ? nw + 1 : 0, lanes.stale);
-  };
-  // The cached arguments of station @p i, at position @p p, were
-  // (re)written: refresh its readiness lane, and its memory-window entry
-  // when they @p moved.
-  const auto args_written = [&](int p, int i, bool moved) {
-    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
-    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
-    lanes.args_ready.SetTo(p, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                                  (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-    if (fwd && moved) lanes.mw_stale.Set(i);
-  };
-  // Fault injection and self-checking (packed loop only), once the cycle's
-  // arguments are final and before any station reads them. The checker
+  // Fault injection and self-checking (packed loop only). The checker
   // recomputes every uncommitted station's arguments with the full cluster
   // propagation.
   const auto inject_and_check = [&](std::uint64_t cycle) {
-    eng.InjectFaults(
-        cycle, args_at,
-        [&](int i) {
-          if (const int p = position_of(i); p < tail) lanes.stall.Set(p);
+    net.InjectAndCheck(
+        cycle,
+        [&](auto&& resync) {
+          build_requests();
+          prop = dp.Propagate(committed, requests, head_cluster);
+          for (int p = commit_ptr; p < tail; ++p) {
+            const int i = station_index(p);
+            resync(p, i, prop.args[static_cast<std::size_t>(i)]);
+          }
         },
-        [&](int i) {
-          if (const int p = position_of(i); p < tail) args_written(p, i, true);
-        });
-    eng.Check(cycle, [&] {
-      build_requests();
-      prop = dp.Propagate(committed, requests, head_cluster);
-      std::uint64_t mismatched = 0;
-      for (int p = commit_ptr; p < tail; ++p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        const datapath::ResolvedArgs& full =
-            prop.args[static_cast<std::size_t>(i)];
-        datapath::ResolvedArgs truth;
-        if (isa::ReadsRs1(st.inst().op)) truth.arg1 = full.arg1;
-        if (isa::ReadsRs2(st.inst().op)) truth.arg2 = full.arg2;
-        datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
-        if (seen == truth) continue;
-        mismatched += CycleEngine::Resync(seen, truth);
-        args_written(p, i, true);
-      }
-      return mismatched;
-    });
+        position_of);
   };
 
   const auto save_head = [&](persist::Encoder& e) {
@@ -207,7 +135,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
     e.I32(commit_ptr);
   };
   const auto save_trailer = [&](persist::Encoder& e) {
-    if (packed) SavePackedArgs(e, args_at, lanes.stale);
+    if (packed) net.Save(e);
   };
   eng.Restore(
       [&](persist::Decoder& d) {
@@ -218,20 +146,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
         commit_ptr = d.I32();
       },
       [&](persist::Decoder& d) {
-        if (!packed) return;
-        // Rebuild the derived packed state from the restored stations, then
-        // take the cached arguments and the stale set verbatim.
-        for (int p = 0; p < tail; ++p) {
-          const int i = station_index(p);
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (st.valid) packed_fill_slot(p, i, st);
-        }
-        RestorePackedArgs(d, args_at, lanes.stale);
-        for (int p = 0; p < tail; ++p) {
-          if (stations[static_cast<std::size_t>(station_index(p))].valid) {
-            args_written(p, station_index(p), false);
-          }
-        }
+        if (packed) net.Restore(d, 0, tail);
       });
   if (incremental) {
     dp_state.emplace(n, L, C);
@@ -247,33 +162,9 @@ RunResult HybridCore::Run(const isa::Program& program) {
     if (packed) {
       // Event-driven delivery: re-resolve only the positions whose
       // argument source changed since the last cycle (writer result
-      // movement, their own fill, or a squash). Stations are untouched
-      // since the end of the previous cycle, so this drain sees exactly
-      // the snapshot the mesh propagation would have delivered.
-      ForEachSetBit(lanes.stale, [&](int p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        datapath::ResolvedArgs args;
-        // The nearest preceding writer's binding, verbatim (ready or
-        // not); committed stations keep driving the ring until their
-        // cluster deallocates, and a reader with no preceding writer
-        // takes the committed file.
-        const auto read = [&](isa::RegId r) -> datapath::RegBinding {
-          const int j =
-              wmap.NearestWriterBeforeAcyclic(p, static_cast<int>(r));
-          return j >= 0
-                     ? stations[static_cast<std::size_t>(station_index(j))]
-                           .result
-                     : committed[r];
-        };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        args_written(p, i, true);
-      });
-      lanes.stale.ClearAll();
+      // movement, their own fill, or a squash). Committed stations keep
+      // driving the ring until their cluster deallocates.
+      net.Drain(0, committed);
       // --- Phase 1b: fault injection + self-checking. ---
       inject_and_check(cycle);
     } else {
@@ -348,57 +239,19 @@ RunResult HybridCore::Run(const isa::Program& program) {
     eng.DrainMemory(
         cycle, [&](const MemTag& tag) { return eng.SlotByGeneration(tag); },
         [&](int i, const Station& st) {
-          if (!packed) return;
-          const int p = position_of(i);
-          if (p >= tail) return;
           // The load's result binding just became ready: its readers
           // re-resolve at the next phase-1 drain, exactly when the
           // propagation would have delivered the new value.
-          lanes.finished.Set(p);
-          if (isa::WritesRd(st.inst().op)) mark_result_change(p, st.inst().rd);
-          if (fwd) lanes.mw_stale.Set(i);
+          if (packed) net.Stepped(position_of(i), i, st, true, 0);
         });
 
     // --- Phase 3: execute in program order. ---
     const int live = tail;
     if (packed) {
-      // Refresh only the station-indexed window entries whose station or
-      // arguments moved -- after phase 2, so this cycle's memory
-      // completions are visible to disambiguation, as in the rebuilt
-      // window below.
-      if (fwd) {
-        ForEachSetBit(lanes.mw_stale, [&](int i) {
-          mem_window_sta[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-              stations[static_cast<std::size_t>(i)],
-              args_at[static_cast<std::size_t>(i)]);
-        });
-        lanes.mw_stale.ClearAll();
-      }
+      net.RefreshMemWindow();
       if (have_grants) lanes.GrantAlus(config_.num_alus, -1, live);
-      const auto entry_at = [&](std::size_t a) -> const MemWindowEntry& {
-        return mem_window_sta[static_cast<std::size_t>(
-            station_index(static_cast<int>(a)))];
-      };
-      lanes.ForEachMustVisit(
-          commit_ptr, live - commit_ptr, fwd, have_grants, true, [&](int p) {
-            const int i = station_index(p);
-            if (eng.SitOut(lanes, p, i)) return true;
-            Station& st = stations[static_cast<std::size_t>(i)];
-            const datapath::RegBinding pre_result = st.result;
-            const bool mispredicted =
-                eng.Step(cycle, i, st, args_at[static_cast<std::size_t>(i)],
-                         lanes.OrderAt(p, have_grants), entry_at, p, i,
-                         static_cast<std::uint64_t>(i));
-            lanes.Sync(p, st);
-            if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-              mark_result_change(p, st.inst().rd);
-            }
-            if (fwd) lanes.mw_stale.Set(i);
-            if (!mispredicted) return true;
-            eng.Squash(cycle, p, tail, st.actual_next_pc, false, station_index,
-                       drop);
-            return false;
-          });
+      // A stalled station sits out only while unfinished.
+      net.Execute(cycle, 0, commit_ptr, tail, true, drop);
     } else {
       if (fwd) {
         mem_window.assign(static_cast<std::size_t>(live), MemWindowEntry{});
@@ -476,15 +329,9 @@ RunResult HybridCore::Run(const isa::Program& program) {
     while (commit_ptr >= C) {
       for (int s = 0; s < C; ++s) {
         const int i = head_cluster * C + s;
-        if (packed) {
-          // Station-indexed caches are cleared point-wise; the slot is
-          // about to be refilled with a new instruction.
-          lanes.mw_stale.Clear(i);
-          args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-          if (fwd) {
-            mem_window_sta[static_cast<std::size_t>(i)] = MemWindowEntry{};
-          }
-        }
+        // Station-indexed caches are cleared point-wise; the slot is about
+        // to be refilled with a new instruction.
+        if (packed) net.ClearStation(i);
         stations[static_cast<std::size_t>(i)].Evict();
       }
       if (packed) {
@@ -495,7 +342,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
         // so re-resolving to the committed file yields the same value.
         // Cached arguments are value copies and survive untouched.
         lanes.ShiftDown(C);
-        wmap.ShiftDown(C);
+        net.wmap.ShiftDown(C);
       }
       head_cluster = (head_cluster + 1) % K;
       commit_ptr -= C;
@@ -505,7 +352,7 @@ RunResult HybridCore::Run(const isa::Program& program) {
     // --- Phase 5: fetch. ---
     eng.Fetch(cycle, commit_ptr, tail, station_index,
               [&](int p, int slot, const Station& st) {
-                if (packed) packed_fill_slot(p, slot, st);
+                if (packed) net.Fill(p, slot, st);
               });
   }
 

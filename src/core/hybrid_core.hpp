@@ -6,6 +6,8 @@
 // committed register file. Clusters act as "super execution stations":
 // they are allocated and deallocated as units in ring order, while
 // instructions inside them issue out of order and commit in program order.
+// The packed loop delivers operands through WriterMapNetwork, its lanes the
+// program positions (oldest lane 0, shifted down a cluster at a time).
 #pragma once
 
 #include "core/processor.hpp"

@@ -4,9 +4,8 @@
 
 #include <optional>
 
-#include "core/cycle_engine.hpp"
+#include "core/writer_map_network.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/packed_resolve.hpp"
 
 namespace ultra::core {
 
@@ -57,14 +56,13 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
   // Evaluation modes. kPacked and kChecked share one word-parallel cycle
   // loop: the Figure 5 flags, their CSPP prefixes, the ALU grants and the
   // execute phase's visit set evaluate 64 stations per word op, and
-  // argument delivery is event-driven through a PackedWriterMap
-  // (per-register writer/reader rows over the ring) -- each station's
-  // resolved arguments are cached and a stale mask re-resolves only the
-  // stations whose source changed. Pipelined delivery is a function of
-  // wall-clock distance, so under it the packed loop re-resolves every live
-  // station each cycle with the program-order last-writer sweep instead.
-  // kChecked adds the DatapathChecker. kIncremental and kFullRecompute run
-  // the byte-lane loop over the propagated ring.
+  // argument delivery is event-driven through the writer-map network,
+  // whose lanes are the ring slots and whose oldest lane is the head.
+  // Pipelined delivery is a function of wall-clock distance, so under it
+  // the packed loop re-resolves every live station each cycle with the
+  // program-order last-writer sweep instead. kChecked adds the
+  // DatapathChecker. kIncremental and kFullRecompute run the byte-lane loop
+  // over the propagated ring.
   const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
                       config_.datapath_eval == DatapathEval::kChecked;
   const bool incremental =
@@ -98,74 +96,22 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> no_store(nz), no_load(nz), branch_ok(nz),
       prev_stores_done(nz), prev_loads_done(nz), prev_confirmed(nz),
       alu_requests(nz), alu_grant(nz);
-  // Resolved arguments per station: rebuilt every cycle by the byte-lane
-  // loop, cached across cycles by the packed loop.
-  std::vector<datapath::ResolvedArgs> args_at(nz);
+  // Resolved arguments per station, rebuilt every cycle by the byte-lane
+  // loop (the packed loop's network caches its own).
+  std::vector<datapath::ResolvedArgs> args_at(packed ? 0 : nz);
   std::vector<core::MemWindowEntry> mem_window;
   // Program-order last writer per register during a window sweep; replaces
   // the per-operand backward window scan.
   std::vector<int> last_writer(static_cast<std::size_t>(L));
 
-  // Packed state (kPacked/kChecked only). The lanes, the writer map and the
-  // memory window are mutated at event sites and derived from the
-  // stations, so a restore rebuilds them; the cached arguments and the
-  // stale set are checkpointed (SavePackedArgs).
-  PackedLanes lanes(packed ? n : 0);
-  // Per-register writer/reader rows over the ring, and a position-indexed
-  // memory window (the byte-lane loop keeps the age-indexed mem_window).
-  datapath::PackedWriterMap wmap;
-  std::vector<core::MemWindowEntry> mem_window_pos;
-  if (packed) {
-    wmap.Assign(n, L);
-    mem_window_pos.resize(nz);
-  }
-
-  // Packed event helpers. Clearing a slot must run while the station still
-  // holds its instruction (the writer/reader rows are keyed by its register
-  // fields).
-  const auto packed_clear_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    if (isa::WritesRd(inst.op)) wmap.ClearWriter(i, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.ClearReader(i, inst.rs2);
-    lanes.Clear(i);
-    lanes.stale.Clear(i);
-    lanes.mw_stale.Clear(i);
-    args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-    if (fwd) mem_window_pos[static_cast<std::size_t>(i)] = MemWindowEntry{};
-  };
-  const auto packed_fill_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    lanes.Fill(i, st);
-    if (isa::WritesRd(inst.op)) wmap.SetWriter(i, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.AddReader(i, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.AddReader(i, inst.rs2);
-    lanes.stale.Set(i);
-    if (fwd) lanes.mw_stale.Set(i);
-  };
+  // The packed loop's operand network (kPacked/kChecked only); a lane is
+  // a ring slot.
+  WriterMapNetwork net(eng, packed ? n : 0, L);
+  PackedLanes& lanes = net.lanes;
   // A squash victim or a forced-mispredict victim leaves the window.
   const auto drop = [&](int, int i, Station& victim) {
-    if (packed) packed_clear_slot(i, victim);
+    if (packed) net.Clear(i, i, victim);
     victim.Evict();
-  };
-  // Station @p j's result binding for register @p r changed (it issued,
-  // finished, or its load data arrived): only the readers between j and the
-  // next in-flight writer of r resolve against j, so only that span goes
-  // stale. Readers beyond the next writer already bind to it; readers at or
-  // before j bind elsewhere.
-  const auto mark_result_change = [&](int j, isa::RegId r) {
-    const int nw = wmap.NearestWriterAfter(j, static_cast<int>(r), head);
-    wmap.OrReadersInCyclicRange(static_cast<int>(r), (j + 1) % n,
-                                nw >= 0 ? (nw + 1) % n : head, lanes.stale);
-  };
-  // Station @p i's cached arguments were (re)written: refresh its
-  // readiness lane, and its memory-window entry when they @p moved.
-  const auto args_written = [&](int i, bool moved) {
-    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
-    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
-    lanes.args_ready.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                                  (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-    if (fwd && moved) lanes.mw_stale.Set(i);
   };
 
   // Full-recompute propagation of the ring from the current stations.
@@ -249,29 +195,15 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     if (isa::ReadsRs2(st.inst().op)) args.arg2 = read(st.inst().rs2);
     return args;
   };
-  // Fault injection and self-checking (packed loop only), once the cycle's
-  // arguments are final and before any station reads them. The checker
+  // Fault injection and self-checking (packed loop only). The checker
   // recomputes every live station's arguments from scratch (the full ring
   // propagation, or the pipelined sweep itself).
   const auto inject_and_check = [&](std::uint64_t cycle) {
-    eng.InjectFaults(
-        cycle, args_at, [&](int i) { lanes.stall.Set(i); },
-        [&](int i) {
-          if (stations[static_cast<std::size_t>(i)].valid) {
-            args_written(i, true);
-          }
-        });
-    eng.Check(cycle, [&] {
+    net.InjectAndCheck(cycle, [&](auto&& resync) {
       if (!pipelined) propagate_full();
-      std::uint64_t mismatched = 0;
       sweep([&](int k, int i, const Station& st) {
-        const datapath::ResolvedArgs truth = resolve(k, i, st, cycle);
-        datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
-        if (seen == truth) return;
-        mismatched += CycleEngine::Resync(seen, truth);
-        args_written(i, true);
+        resync(i, i, resolve(k, i, st, cycle));
       });
-      return mismatched;
     });
   };
 
@@ -283,7 +215,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     e.I32(count);
   };
   const auto save_trailer = [&](persist::Encoder& e) {
-    if (packed) SavePackedArgs(e, args_at, lanes.stale);
+    if (packed) net.Save(e);
   };
   eng.Restore(
       [&](persist::Decoder& d) {
@@ -294,22 +226,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         count = d.I32();
       },
       [&](persist::Decoder& d) {
-        if (!packed) return;
-        // Rebuild the derived packed state from the restored stations, then
-        // take the cached arguments and the stale set verbatim.
-        for (int i = 0; i < n; ++i) {
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (st.valid) packed_fill_slot(i, st);
-          if (eng.fault_stall[static_cast<std::size_t>(i)] > 0) {
-            lanes.stall.Set(i);
-          }
-        }
-        RestorePackedArgs(d, args_at, lanes.stale);
-        for (int i = 0; i < n; ++i) {
-          if (stations[static_cast<std::size_t>(i)].valid) {
-            args_written(i, false);
-          }
-        }
+        if (packed) net.Restore(d, head, count);
       });
   if (incremental) {
     dp_state.emplace(n, L);
@@ -325,31 +242,15 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
       // Event-driven delivery: re-resolve only stations whose argument
       // source changed since the last cycle (writer result movement, a
       // commit touching their register, a squash, their own fill, or the
-      // head advancing onto them). Stations are untouched since the end of
-      // the previous cycle, so this drain sees exactly the snapshot the
-      // ring propagation would deliver. Pipelined delivery re-resolves
-      // every station in phase 3a instead.
-      if (!pipelined) {
-        ForEachSetBit(lanes.stale, [&](int i) {
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid) return;
-          const isa::Instruction& inst = st.inst();
-          datapath::ResolvedArgs args;
-          const auto read = [&](isa::RegId r) -> datapath::RegBinding {
-            if (i == head) return committed[r];  // Oldest reads the file.
-            const int j = wmap.NearestWriterBefore(i, r, head);
-            return j >= 0 ? stations[static_cast<std::size_t>(j)].result
-                          : committed[r];
-          };
-          if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
-          if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
-          args_at[static_cast<std::size_t>(i)] = args;
-          args_written(i, true);
-        });
+      // head advancing onto them). Pipelined delivery re-resolves every
+      // station in phase 3a instead.
+      if (pipelined) {
+        lanes.stale.ClearAll();
+      } else {
+        net.Drain(head, committed);
         // --- Phase 1b: fault injection + self-checking. ---
         inject_and_check(cycle);
       }
-      lanes.stale.ClearAll();
       lanes.OrderPrefixes(head);
     } else {
       for (int i = 0; i < n; ++i) {
@@ -386,13 +287,10 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
     eng.DrainMemory(
         cycle, [&](const MemTag& tag) { return eng.SlotByGeneration(tag); },
         [&](int i, const Station& st) {
-          if (!packed) return;
           // The load's result binding just became ready: its readers
           // re-resolve at the next phase-1 drain, exactly when the ring
           // propagation would deliver the new value.
-          lanes.finished.Set(i);
-          if (isa::WritesRd(st.inst().op)) mark_result_change(i, st.inst().rd);
-          if (fwd) lanes.mw_stale.Set(i);
+          if (packed) net.Stepped(i, i, st, true, head);
         });
 
     // --- Phase 3a: resolve arguments and schedule shared resources. ---
@@ -407,25 +305,14 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
           if (!pipelined) return;
           const datapath::ResolvedArgs args = resolve(k, i, st, cycle);
           datapath::ResolvedArgs& cached =
-              args_at[static_cast<std::size_t>(i)];
+              net.args[static_cast<std::size_t>(i)];
           const bool moved = args != cached;
           cached = args;
-          args_written(i, moved);
+          net.Written(i, i, moved);
         });
       }
       if (pipelined) inject_and_check(cycle);
-      // Refresh the memory-window entries whose station or arguments moved
-      // -- after phase 2, which is when the byte-lane loop builds its
-      // window, so this cycle's memory completions are visible to
-      // disambiguation.
-      if (fwd) {
-        ForEachSetBit(lanes.mw_stale, [&](int i) {
-          mem_window_pos[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-              stations[static_cast<std::size_t>(i)],
-              args_at[static_cast<std::size_t>(i)]);
-        });
-        lanes.mw_stale.ClearAll();
-      }
+      net.RefreshMemWindow();
       if (have_grants) lanes.GrantAlus(config_.num_alus, head, n);
     } else {
       std::fill(args_at.begin(), args_at.end(), datapath::ResolvedArgs{});
@@ -458,28 +345,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
 
     // --- Phase 3b: execute, in program order from the oldest station. ---
     if (packed) {
-      const auto entry_at = [&](std::size_t a) -> const MemWindowEntry& {
-        return mem_window_pos[static_cast<std::size_t>(
-            ring(static_cast<int>(a)))];
-      };
-      lanes.ForEachMustVisit(head, live, fwd, have_grants, false, [&](int i) {
-        if (eng.SitOut(lanes, i, i)) return true;
-        const int k = (i - head + n) % n;
-        Station& st = stations[static_cast<std::size_t>(i)];
-        const datapath::RegBinding pre_result = st.result;
-        const bool mispredicted =
-            eng.Step(cycle, i, st, args_at[static_cast<std::size_t>(i)],
-                     lanes.OrderAt(i, have_grants), entry_at, k, i,
-                     static_cast<std::uint64_t>(i));
-        lanes.Sync(i, st);
-        if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-          mark_result_change(i, st.inst().rd);
-        }
-        if (fwd) lanes.mw_stale.Set(i);
-        if (!mispredicted) return true;
-        eng.Squash(cycle, k, count, st.actual_next_pc, false, ring, drop);
-        return false;
-      });
+      net.Execute(cycle, head, 0, count, false, drop);
     } else {
       const auto entry_at = [&](std::size_t a) -> const MemWindowEntry& {
         return mem_window[a];
@@ -518,18 +384,11 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
         // The committed file changed: only the stations between the head
         // and the first in-flight writer of rd resolve against it (younger
         // readers bind to that writer), so only that span re-resolves.
-        if (packed) {
-          const int nw =
-              wmap.NearestWriterAfter(head, static_cast<int>(inst.rd), head);
-          wmap.OrReadersInCyclicRange(static_cast<int>(inst.rd),
-                                      (head + 1) % n,
-                                      nw >= 0 ? (nw + 1) % n : head,
-                                      lanes.stale);
-        }
+        if (packed) net.MarkResultChange(head, inst.rd, head);
       }
       eng.Retire(cycle, head, st);
       const bool was_halt = inst.op == isa::Opcode::kHalt;
-      if (packed) packed_clear_slot(head, st);
+      if (packed) net.Clear(head, head, st);
       st.Clear();
       head = (head + 1) % n;
       head_moved = true;
@@ -545,7 +404,7 @@ RunResult UltrascalarICore::Run(const isa::Program& program) {
 
     // --- Phase 5: fetch into freed slots. ---
     eng.Fetch(cycle, 0, count, ring, [&](int, int slot, const Station& st) {
-      if (packed) packed_fill_slot(slot, st);
+      if (packed) net.Fill(slot, slot, st);
     });
   }
 

@@ -4,7 +4,8 @@
 // register plus the Figure 5 sequencing circuits. Stations refill
 // continually: the window wraps around, the oldest station holds the
 // committed register file, and misprediction recovery costs nothing beyond
-// refetching the correct path.
+// refetching the correct path. The packed loop delivers operands through
+// WriterMapNetwork, its lanes the ring and its oldest lane the head.
 #pragma once
 
 #include "core/processor.hpp"

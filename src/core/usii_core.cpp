@@ -2,9 +2,8 @@
 
 #include <cassert>
 
-#include "core/cycle_engine.hpp"
+#include "core/writer_map_network.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/packed_resolve.hpp"
 
 namespace ultra::core {
 
@@ -44,10 +43,10 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
   // Evaluation modes. kPacked and kChecked share one word-parallel cycle
   // loop: sequencing flags, acyclic prefixes, ALU grants and the execute
   // phase's visit set evaluate 64 stations per word op, and argument
-  // delivery is event-driven -- each slot's resolved arguments are cached
-  // and re-resolved, over per-register writer/reader rows, only when their
-  // source changes. kChecked adds the DatapathChecker. kIncremental and
-  // kFullRecompute run the byte-lane loop over the mesh propagation.
+  // delivery is event-driven through the writer-map network, whose lanes
+  // are the batch slots and whose oldest lane is slot 0. kChecked adds the
+  // DatapathChecker. kIncremental and kFullRecompute run the byte-lane loop
+  // over the mesh propagation.
   const bool packed = config_.datapath_eval == DatapathEval::kPacked ||
                       config_.datapath_eval == DatapathEval::kChecked;
   const bool incremental =
@@ -73,101 +72,29 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
   std::vector<std::uint8_t> alu_requests;
   std::vector<std::uint8_t> alu_grant;
 
-  // Packed state (kPacked/kChecked only): the lanes, the writer/reader rows
-  // that answer "whose value does slot i read?", the cached resolved
-  // arguments per batch slot, and a slot-indexed memory window (batch
-  // position IS age order here, so the forwarding walk reads it directly).
-  // Everything but the cached arguments and the stale set is derived from
-  // the stations and rebuilt on restore.
-  PackedLanes lanes(packed ? n : 0);
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_pos;
-  if (packed) {
-    wmap.Assign(n, L);
-    args_at.resize(nz);
-    mem_window_pos.resize(nz);
-  }
-
-  // Packed event helpers; clearing must run while the station still holds
-  // its instruction (rows are keyed by its register fields).
-  const auto packed_clear_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    if (isa::WritesRd(inst.op)) wmap.ClearWriter(i, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.ClearReader(i, inst.rs2);
-    lanes.Clear(i);
-    lanes.stale.Clear(i);
-    lanes.mw_stale.Clear(i);
-    args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-    if (fwd) mem_window_pos[static_cast<std::size_t>(i)] = MemWindowEntry{};
-  };
-  const auto packed_fill_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    lanes.Fill(i, st);
-    if (isa::WritesRd(inst.op)) wmap.SetWriter(i, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.AddReader(i, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.AddReader(i, inst.rs2);
-    lanes.stale.Set(i);
-    if (fwd) lanes.mw_stale.Set(i);
-  };
+  // The packed loop's operand network (kPacked/kChecked only); a lane is
+  // a batch slot, so batch position is age order and the forwarding walk
+  // reads the slot-indexed memory window directly.
+  WriterMapNetwork net(eng, packed ? n : 0, L);
+  PackedLanes& lanes = net.lanes;
   // A squash victim or a forced-mispredict victim leaves the batch.
   const auto drop = [&](int, int i, Station& victim) {
-    if (packed) packed_clear_slot(i, victim);
+    if (packed) net.Clear(i, i, victim);
     victim.Evict();
   };
-  // Slot @p j's result binding for register @p r changed: only the readers
-  // between j and the next writer of r (inclusive -- a slot both reading
-  // and writing r resolves its read against the previous writer) see a
-  // different source. Acyclic program order, so no wraparound.
-  const auto mark_result_change = [&](int j, isa::RegId r) {
-    const int nw = datapath::LowestSetInRange(
-        wmap.writers(static_cast<int>(r)), j + 1, n);
-    wmap.OrReadersInCyclicRange(static_cast<int>(r), j + 1,
-                                nw >= 0 ? nw + 1 : 0, lanes.stale);
-  };
-  // Slot @p i's cached arguments were (re)written: refresh its readiness
-  // lane, and its memory-window entry when they @p moved.
-  const auto args_written = [&](int i, bool moved) {
-    const isa::Instruction& inst = stations[static_cast<std::size_t>(i)].inst();
-    const datapath::ResolvedArgs& args = args_at[static_cast<std::size_t>(i)];
-    lanes.args_ready.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                                  (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-    if (fwd && moved) lanes.mw_stale.Set(i);
-  };
-  // Fault injection and self-checking (packed loop only), once the cycle's
-  // arguments are final and before the batch latch or any station reads
-  // them. The checker recomputes every slot's arguments with the full mesh
-  // propagation.
+  // Fault injection and self-checking (packed loop only), before the batch
+  // latch reads the arguments. The checker recomputes every slot's
+  // arguments with the full mesh propagation.
   const auto inject_and_check = [&](std::uint64_t cycle) {
-    eng.InjectFaults(
-        cycle, args_at, [&](int i) { lanes.stall.Set(i); },
-        [&](int i) {
-          if (stations[static_cast<std::size_t>(i)].valid) {
-            args_written(i, true);
-          }
-        });
-    eng.Check(cycle, [&] {
+    net.InjectAndCheck(cycle, [&](auto&& resync) {
       for (int i = 0; i < n; ++i) {
         requests[static_cast<std::size_t>(i)] =
             MakeRequest(stations[static_cast<std::size_t>(i)]);
       }
       dp.PropagateInto(regfile, requests, prop);
-      std::uint64_t mismatched = 0;
       for (int i = 0; i < fill; ++i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) continue;
-        const datapath::ResolvedArgs& full =
-            prop.args[static_cast<std::size_t>(i)];
-        datapath::ResolvedArgs truth;
-        if (isa::ReadsRs1(st.inst().op)) truth.arg1 = full.arg1;
-        if (isa::ReadsRs2(st.inst().op)) truth.arg2 = full.arg2;
-        datapath::ResolvedArgs& seen = args_at[static_cast<std::size_t>(i)];
-        if (seen == truth) continue;
-        mismatched += CycleEngine::Resync(seen, truth);
-        args_written(i, true);
+        resync(i, i, prop.args[static_cast<std::size_t>(i)]);
       }
-      return mismatched;
     });
   };
   // Grid distance to each operand's source: rows crossed from the nearest
@@ -194,7 +121,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     e.I32(fill);
   };
   const auto save_trailer = [&](persist::Encoder& e) {
-    if (packed) SavePackedArgs(e, args_at, lanes.stale);
+    if (packed) net.Save(e);
   };
   eng.Restore(
       [&](persist::Decoder& d) {
@@ -203,22 +130,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         fill = d.I32();
       },
       [&](persist::Decoder& d) {
-        if (!packed) return;
-        // Rebuild the derived packed state from the restored stations, then
-        // take the cached arguments and the stale set verbatim.
-        for (int i = 0; i < n; ++i) {
-          if (eng.fault_stall[static_cast<std::size_t>(i)] > 0) {
-            lanes.stall.Set(i);
-          }
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (st.valid) packed_fill_slot(i, st);
-        }
-        RestorePackedArgs(d, args_at, lanes.stale);
-        for (int i = 0; i < n; ++i) {
-          if (stations[static_cast<std::size_t>(i)].valid) {
-            args_written(i, false);
-          }
-        }
+        if (packed) net.Restore(d, 0, fill);
       });
 
   for (std::uint64_t cycle = eng.start_cycle();
@@ -245,26 +157,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           if (st.valid) record_distances(i, st);
         }
       }
-      ForEachSetBit(lanes.stale, [&](int i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        datapath::ResolvedArgs args;
-        // The nearest preceding writer's binding, verbatim (ready or not);
-        // slot 0 and readers with no in-batch writer take the register
-        // file, exactly what the mesh-of-trees propagation delivers.
-        const auto read = [&](isa::RegId r) -> datapath::RegBinding {
-          const int j =
-              wmap.NearestWriterBeforeAcyclic(i, static_cast<int>(r));
-          return j >= 0 ? stations[static_cast<std::size_t>(j)].result
-                        : regfile[r];
-        };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = read(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = read(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        args_written(i, true);
-      });
-      lanes.stale.ClearAll();
+      net.Drain(0, regfile);
       // --- Phase 1b: fault injection + self-checking. ---
       inject_and_check(cycle);
       lanes.OrderPrefixes(-1);
@@ -316,7 +209,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
           // Each register's final value comes from its last in-batch
           // writer; unwritten registers keep their incoming file value,
           // matching the propagation's final row.
-          const int j = wmap.HighestWriter(r);
+          const int j = net.wmap.HighestWriter(r);
           if (j < 0) continue;
           assert(stations[static_cast<std::size_t>(j)].result.ready);
           regfile[static_cast<std::size_t>(r)] =
@@ -344,7 +237,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
         // The whole batch left at once: reset the packed state wholesale
         // instead of slot-by-slot. The stall lanes survive -- pending
         // injected stalls stick to the slot and hit its next occupant.
-        wmap.ClearAllRows();
+        net.wmap.ClearAllRows();
         lanes.ClearAll();
         lanes.stale.ClearAll();
         lanes.mw_stale.ClearAll();
@@ -356,51 +249,19 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
     eng.DrainMemory(
         cycle, [&](const MemTag& tag) { return eng.SlotByGeneration(tag); },
         [&](int i, const Station& st) {
-          if (!packed) return;
           // The load's result binding just became ready: its readers
           // re-resolve at the next phase-1 drain, exactly when the
           // propagation would deliver the new value.
-          lanes.finished.Set(i);
-          if (isa::WritesRd(st.inst().op)) mark_result_change(i, st.inst().rd);
-          if (fwd) lanes.mw_stale.Set(i);
+          if (packed) net.Stepped(i, i, st, true, 0);
         });
 
     // --- Phase 3: execute, in program order within the batch, and the
     // forced mispredictions; a batch-retire cycle skips both. ---
     if (!batch_complete && !eng.done) {
       if (packed) {
-        // Refresh only the window entries whose station or arguments moved
-        // -- after phase 2, so this cycle's memory completions are visible
-        // to disambiguation, as in the rebuilt window below.
-        if (fwd) {
-          ForEachSetBit(lanes.mw_stale, [&](int i) {
-            mem_window_pos[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-                stations[static_cast<std::size_t>(i)],
-                args_at[static_cast<std::size_t>(i)]);
-          });
-          lanes.mw_stale.ClearAll();
-        }
+        net.RefreshMemWindow();
         if (have_grants) lanes.GrantAlus(config_.num_alus, -1, n);
-        const auto entry_at = [&](std::size_t a) -> const MemWindowEntry& {
-          return mem_window_pos[a];
-        };
-        lanes.ForEachMustVisit(0, fill, fwd, have_grants, false, [&](int i) {
-          if (eng.SitOut(lanes, i, i)) return true;
-          Station& st = stations[static_cast<std::size_t>(i)];
-          const datapath::RegBinding pre_result = st.result;
-          const bool mispredicted =
-              eng.Step(cycle, i, st, args_at[static_cast<std::size_t>(i)],
-                       lanes.OrderAt(i, have_grants), entry_at, i, i,
-                       static_cast<std::uint64_t>(i));
-          lanes.Sync(i, st);
-          if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-            mark_result_change(i, st.inst().rd);
-          }
-          if (fwd) lanes.mw_stale.Set(i);
-          if (!mispredicted) return true;
-          eng.Squash(cycle, i, fill, st.actual_next_pc, false, batch, drop);
-          return false;
-        });
+        net.Execute(cycle, 0, 0, fill, false, drop);
       } else {
         if (fwd) {
           mem_window.assign(static_cast<std::size_t>(fill), MemWindowEntry{});
@@ -449,7 +310,7 @@ RunResult UltrascalarIICore::Run(const isa::Program& program) {
 
     // --- Phase 4: fill the batch. ---
     eng.Fetch(cycle, 0, fill, batch, [&](int, int slot, const Station& st) {
-      if (packed) packed_fill_slot(slot, st);
+      if (packed) net.Fill(slot, slot, st);
     });
   }
   return eng.Finish(CycleEngine::Values(regfile));

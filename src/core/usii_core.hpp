@@ -5,7 +5,9 @@
 // file, and "stations idle waiting for everyone to finish before refilling"
 // (the paper's stated inefficiency of the design; the wrap-around variant
 // is the hybrid's job). When every station has finished, the final register
-// values latch into the register file and the next batch begins.
+// values latch into the register file and the next batch begins. The
+// packed loop delivers operands through WriterMapNetwork, its lanes the
+// batch slots and its oldest lane 0.
 #pragma once
 
 #include "core/processor.hpp"

@@ -118,21 +118,6 @@ void ForEachSetBit(const PackedBits& bits, Fn&& fn) {
   }
 }
 
-/// Calls fn(i) for every set lane of (a.word(w) | b.word(w)), increasing
-/// order. The operands must be the same size.
-template <typename Fn>
-void ForEachSetBitOr(const PackedBits& a, const PackedBits& b, Fn&& fn) {
-  assert(a.size() == b.size());
-  for (int w = 0; w < a.num_words(); ++w) {
-    std::uint64_t word = a.word(w) | b.word(w);
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      fn((w << 6) + bit);
-      word &= word - 1;
-    }
-  }
-}
-
 namespace packed_internal {
 
 // Multi-word block kernels. Each processes kBlockWords words per step so the

@@ -1,5 +1,5 @@
 // Per-register writer/reader occupancy rows for the event-driven packed
-// cores (DatapathEval::kPacked fast tier).
+// cores (DatapathEval::kPacked fast tier), behind core::WriterMapNetwork.
 //
 // The scalable datapaths (UsiDatapathState / UltrascalarIIDatapath /
 // HybridDatapathState) answer "which value of register r arrives at station
@@ -14,10 +14,11 @@
 // result delivery) and never rebuilt wholesale, which is what lets the
 // packed cycle loops skip the per-cycle O(n) propagation entirely.
 //
-// Slot indices are whatever the owning core uses for its masks: ring
-// positions for UltrascalarI, station slots for UltrascalarII, window
-// positions for the hybrid (which shifts the rows down by C on cluster
-// deallocation via ShiftDown).
+// Slots are program positions, cyclic from an oldest slot that every query
+// takes: UltrascalarI's slots are its ring and the oldest is its head;
+// UltrascalarII's are its batch slots and the hybrid's its window positions
+// (shifted down by C on cluster deallocation via ShiftDown), both with
+// oldest slot 0, for which the cyclic queries give the acyclic answers.
 #pragma once
 
 #include <cassert>
@@ -29,9 +30,6 @@ namespace ultra::datapath {
 
 class PackedWriterMap {
  public:
-  PackedWriterMap() = default;
-  PackedWriterMap(int slots, int regs) { Assign(slots, regs); }
-
   /// Resizes to @p regs rows of @p slots lanes, all clear.
   void Assign(int slots, int regs) {
     assert(slots >= 0 && regs >= 0);
@@ -47,19 +45,6 @@ class PackedWriterMap {
   void ClearWriter(int slot, int r) { writers_[idx(r)].Clear(slot); }
   void AddReader(int slot, int r) { readers_[idx(r)].Set(slot); }
   void ClearReader(int slot, int r) { readers_[idx(r)].Clear(slot); }
-
-  [[nodiscard]] const PackedBits& writers(int r) const {
-    return writers_[idx(r)];
-  }
-  [[nodiscard]] const PackedBits& readers(int r) const {
-    return readers_[idx(r)];
-  }
-
-  /// dst |= readers(r): marks every current reader of @p r stale in one
-  /// word-OR per 64 slots.
-  void OrReadersInto(int r, PackedBits& dst) const {
-    PackedOrAccumulate(dst, readers_[idx(r)]);
-  }
 
   /// dst |= readers(r) restricted to the cyclic slot range [lo, hi) that
   /// walks forward from @p lo with wraparound (empty when lo == hi). When a
@@ -95,9 +80,9 @@ class PackedWriterMap {
   }
 
   /// Nearest writer of @p r strictly preceding slot @p i in the cyclic
-  /// order that starts at @p oldest (UltrascalarI's ring: the stations
-  /// preceding i are [oldest..i) walking forward with wraparound). Returns
-  /// -1 when no in-flight writer precedes i -- the reader then takes the
+  /// order that starts at @p oldest (the slots preceding i are [oldest..i)
+  /// walking forward with wraparound). Returns -1 when no in-flight writer
+  /// precedes i, and always at i == oldest -- the reader then takes the
   /// committed register file value.
   [[nodiscard]] int NearestWriterBefore(int i, int r, int oldest) const {
     const PackedBits& w = writers_[idx(r)];
@@ -108,13 +93,7 @@ class PackedWriterMap {
     return HighestSetInRange(w, oldest, slots_);
   }
 
-  /// Acyclic variant: nearest writer of @p r in slots [0, i). Slot order is
-  /// program order for UltrascalarII and position order for the hybrid.
-  [[nodiscard]] int NearestWriterBeforeAcyclic(int i, int r) const {
-    return HighestSetInRange(writers_[idx(r)], 0, i);
-  }
-
-  /// Highest-slot writer of @p r, or -1. UltrascalarII's batch retire takes
+  /// Highest-slot writer of @p r, or -1. UltrascalarII's batch latch takes
   /// each register's final value from its last writer.
   [[nodiscard]] int HighestWriter(int r) const {
     const PackedBits& w = writers_[idx(r)];

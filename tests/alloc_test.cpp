@@ -1,7 +1,9 @@
 // Steady-state allocation test for the cycle loops (own binary: it
 // replaces the global allocator).
 //
-// Every operator new is counted. For each processor model we run the same
+// Every global operator new is counted, the nothrow forms included
+// (std::stable_sort takes its buffer from nothrow new), and every operator
+// delete frees what they allocate. For each processor model we run the same
 // configuration on a short and on a long ALU-only workload; if any cycle
 // phase allocated, the long run's allocation count would exceed the short
 // run's by at least the extra simulated cycles (hundreds). The allowed
@@ -36,6 +38,15 @@ void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
   throw std::bad_alloc();
 }
 
+template <typename Alloc>
+void* OrNull(Alloc&& alloc) noexcept {
+  try {
+    return alloc();
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) { return CountedAlloc(size); }
@@ -45,6 +56,24 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return OrNull([&] {
+    return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+  });
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return OrNull([&] {
+    return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+  });
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -56,6 +85,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -1,13 +1,15 @@
-// Differential tests for the bit-packed datapath lanes (datapath/bitset.hpp
-// and the packed sequencing/scheduler entry points): every packed circuit
-// must match its byte-lane twin lane for lane, across sizes that exercise
-// word boundaries, split words, and tail masks.
+// Differential tests for the bit-packed datapath lanes (datapath/bitset.hpp,
+// the packed sequencing/scheduler entry points and the writer map): every
+// packed circuit must match its byte-lane twin or a plain scan lane for
+// lane, across sizes that exercise word boundaries, split words, and tail
+// masks.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datapath/bitset.hpp"
+#include "datapath/packed_resolve.hpp"
 #include "datapath/scheduler.hpp"
 #include "datapath/sequencing.hpp"
 
@@ -235,6 +237,75 @@ TEST(PackedSchedulerTest, GrantsMatchByteLanes) {
         AluScheduler::GrantAcyclicInto(requests, available, out_bytes);
         AluScheduler::PackedGrantAcyclicInto(packed, available, out_bits);
         ExpectSameLanes(out_bytes, out_bits, "grant-acyclic", n, -1);
+      }
+    }
+  }
+}
+
+
+// The writer map's rules against a scan in program order, cyclic from every
+// oldest slot: the nearest writer before and after each slot, and the
+// readers a result change at each slot marks stale -- those after it up to
+// and including the next writer, or to the youngest slot when none follows.
+// At oldest = 0 the same calls must give the acyclic answers (plain scans
+// of slots [0, i) and (j, n)) that Ultrascalar II and the hybrid rely on.
+TEST(PackedWriterMapTest, RulesMatchAProgramOrderScan) {
+  std::uint64_t state = 0x5eed0f3173e6a9b1ULL;
+  constexpr int kRegs = 3;
+  for (const int n : {1, 63, 64, 65, 200}) {
+    std::vector<std::vector<std::uint8_t>> writes, reads;
+    PackedWriterMap wmap;
+    wmap.Assign(n, kRegs);
+    for (int r = 0; r < kRegs; ++r) {
+      writes.push_back(RandomBytes(n, 0.02 + 0.2 * r, state));
+      reads.push_back(RandomBytes(n, 0.4, state));
+      for (int s = 0; s < n; ++s) {
+        if (writes[r][static_cast<std::size_t>(s)]) wmap.SetWriter(s, r);
+        if (reads[r][static_cast<std::size_t>(s)]) wmap.AddReader(s, r);
+      }
+    }
+    for (int oldest = 0; oldest < n; ++oldest) {
+      const auto slot = [&](int age) { return (oldest + age) % n; };
+      for (int r = 0; r < kRegs; ++r) {
+        const auto& w = writes[static_cast<std::size_t>(r)];
+        for (int j = 0; j < n; ++j) {
+          const int age = (j - oldest + n) % n;
+          int before = -1;
+          for (int a = age - 1; a >= 0 && before < 0; --a) {
+            if (w[static_cast<std::size_t>(slot(a))]) before = slot(a);
+          }
+          int after = -1;
+          int end = n;  // Ages (age, end) hold the stale readers.
+          for (int a = age + 1; a < n && after < 0; ++a) {
+            if (w[static_cast<std::size_t>(slot(a))]) after = slot(a);
+            end = a + 1;
+          }
+          ASSERT_EQ(wmap.NearestWriterBefore(j, r, oldest), before)
+              << "n=" << n << " oldest=" << oldest << " r=" << r << " j=" << j;
+          ASSERT_EQ(wmap.NearestWriterAfter(j, r, oldest), after)
+              << "n=" << n << " oldest=" << oldest << " r=" << r << " j=" << j;
+
+          PackedBits stale(n);
+          wmap.OrReadersInCyclicRange(r, (j + 1) % n,
+                                      after >= 0 ? (after + 1) % n : oldest,
+                                      stale);
+          std::vector<std::uint8_t> expect(static_cast<std::size_t>(n), 0);
+          for (int a = age + 1; a < end; ++a) {
+            expect[static_cast<std::size_t>(slot(a))] =
+                reads[static_cast<std::size_t>(r)]
+                     [static_cast<std::size_t>(slot(a))];
+          }
+          ExpectSameLanes(expect, stale, "stale span", n, oldest);
+
+          if (oldest != 0) continue;
+          const PackedBits row = Pack(w);
+          ASSERT_EQ(before, HighestSetInRange(row, 0, j)) << "n=" << n;
+          ASSERT_EQ(after, LowestSetInRange(row, j + 1, n)) << "n=" << n;
+          PackedBits acyclic(n);
+          wmap.OrReadersInCyclicRange(r, j + 1, after >= 0 ? after + 1 : 0,
+                                      acyclic);
+          ExpectSameLanes(expect, acyclic, "acyclic span", n, j);
+        }
       }
     }
   }
